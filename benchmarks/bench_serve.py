@@ -18,6 +18,12 @@ Methodology (documented in ``docs/serving.md``):
   thread blocks on the session queue after a handful of frames, and
   ``>= TARGET_SESSIONS`` sessions are provably live *simultaneously*
   (checked against the server's own peak gauge).
+* **Warm cache under the default caps.**  A server with a persistent
+  cache and the default ``ServerLimits`` (every session carries the
+  30 s wall-clock cap) answers a fleet of repeated sessions, with mixed
+  step budgets, from one recorded lift: budgets are not cache-key
+  material, so every session is a whole-lift hit cut at its own budget.
+  The same fleet against a cacheless server is the stepped reference.
 * **Budgets as isolation.**  Each session carries a small step budget
   (``on_budget=truncate``): the workload measures time-to-first-step
   and concurrency, so what matters is that every session *starts*
@@ -82,6 +88,13 @@ ISOLATION_FACTOR = 5.0
 ISOLATION_FLOOR_SECONDS = 0.5
 
 
+# The warm-cache fleet: a shorter doubling chain (53 core steps) drained
+# to the end, with per-session step budgets cycling through these (None:
+# only the server's default caps apply).
+WARM_DOUBLINGS = 4
+WARM_BUDGETS = (None, 8, 24)
+
+
 def _doubling_chain(k: int) -> str:
     expr = "(lambda (y) (+ y 1))"
     for _ in range(k):
@@ -109,15 +122,11 @@ def _fast_gil_handoff(interval: float = 0.0005):
         sys.setswitchinterval(previous)
 
 
-def _lift_body(max_steps: int) -> bytes:
-    return json.dumps(
-        {
-            "program": PROGRAM,
-            "lang": "lambda",
-            "max_steps": max_steps,
-            "on_budget": "truncate",
-        }
-    ).encode()
+def _lift_body(max_steps, program: str = PROGRAM) -> bytes:
+    body = {"program": program, "lang": "lambda", "on_budget": "truncate"}
+    if max_steps is not None:
+        body["max_steps"] = max_steps
+    return json.dumps(body).encode()
 
 
 async def _connect(host: str, port: int, rcvbuf: int | None):
@@ -379,3 +388,86 @@ def test_runaway_sessions_do_not_degrade_neighbours():
         )
     finally:
         harness.close()
+
+
+def test_warm_cache_default_caps_ttfs(tmp_path):
+    from repro.obs.metrics import CACHE_LIFT_HITS
+
+    program = _doubling_chain(WARM_DOUBLINGS)
+    bodies = [
+        _lift_body(WARM_BUDGETS[i % len(WARM_BUDGETS)], program)
+        for i in range(TARGET_SESSIONS)
+    ]
+
+    def fleet(harness):
+        async def drive():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        _session(
+                            harness.host,
+                            harness.port,
+                            body,
+                            i * (RAMP_SECONDS / TARGET_SESSIONS),
+                            None,
+                        )
+                        for i, body in enumerate(bodies)
+                    )
+                ),
+                timeout=120,
+            )
+
+        with _fast_gil_handoff():
+            return asyncio.run(drive())
+
+    # Default ServerLimits throughout: the wall-clock cap is on.
+    warm = ServerHarness(max_sessions=TARGET_SESSIONS + 16, cache_dir=tmp_path)
+    cold = ServerHarness(max_sessions=TARGET_SESSIONS + 16)
+    try:
+        assert warm.server.limits.max_seconds_cap is not None
+        # One complete lift records the program for every later budget.
+        _, primed = asyncio.run(
+            _session(warm.host, warm.port, _lift_body(None, program), 0, None)
+        )
+        assert primed == "halted"
+        hits_before = CACHE_LIFT_HITS.value
+        warm_results = fleet(warm)
+        hits = CACHE_LIFT_HITS.value - hits_before
+        cold_results = fleet(cold)
+    finally:
+        warm.close()
+        cold.close()
+
+    p50, p99 = _percentiles([t for t, _ in warm_results])
+    cold_p50, cold_p99 = _percentiles([t for t, _ in cold_results])
+    report(
+        "serving: warm cache under the default caps",
+        [
+            f"sessions          {TARGET_SESSIONS} over {RAMP_SECONDS:.1f}s "
+            f"ramp, budgets {WARM_BUDGETS}",
+            f"whole-lift hits   {hits}",
+            f"TTFS p50 / p99    {p50 * 1000:.2f} / {p99 * 1000:.2f} ms (warm)",
+            f"TTFS p50 / p99    {cold_p50 * 1000:.2f} / "
+            f"{cold_p99 * 1000:.2f} ms (cacheless, stepped)",
+        ],
+    )
+    SERVE_REPORTER.record(
+        "warm_cache_default_caps",
+        sessions=TARGET_SESSIONS,
+        ramp_seconds=RAMP_SECONDS,
+        core_steps=3 * 2**WARM_DOUBLINGS + WARM_DOUBLINGS + 1,
+        lift_hits=hits,
+        p50_ttfs_seconds=round(p50, 6),
+        p99_ttfs_seconds=round(p99, 6),
+        cold_p50_ttfs_seconds=round(cold_p50, 6),
+        cold_p99_ttfs_seconds=round(cold_p99, 6),
+    )
+
+    # Every session replayed the one recording and ended exactly as its
+    # stepped twin did.
+    assert hits == TARGET_SESSIONS
+    assert [kind for _, kind in warm_results] == [
+        kind for _, kind in cold_results
+    ]
+    assert {kind for _, kind in warm_results} == {"halted", "budget"}
+    assert p50 < P50_TTFS_BUDGET_SECONDS

@@ -22,10 +22,15 @@ All three are hex blake2b digests of a canonical byte serialization:
   rules, new namespace", never "stale hit".
 * :func:`engine_fingerprint` covers the stepper identity and every
   lift option that can change the event stream: sequence vs tree mode,
-  ``stepper_mode``, dedup, emulation checking, incrementality, and the
-  budgets.  Steppers may expose a ``cache_fingerprint()`` hook; steppers
-  with no recognizable identity (an arbitrary function stepper) yield
-  ``None``, which callers must treat as *uncacheable*.
+  ``stepper_mode``, dedup, emulation checking, and incrementality.
+  Steppers may expose a ``cache_fingerprint()`` hook; steppers with no
+  recognizable identity (an arbitrary function stepper) yield ``None``,
+  which callers must treat as *uncacheable*.
+
+Budgets and ``on_budget`` are deliberately *not* key material:
+every budgeted run is a prefix of the one complete lift, so the engine
+records only complete streams and answers any budget by cutting the
+replay (see :mod:`repro.engine.stream`).
 
 The serialization starts every entry with :data:`KEY_SCHEMA` so a change
 to the encoding itself retires all old keys wholesale.
@@ -61,7 +66,7 @@ __all__ = [
 
 # Bump when the byte serialization below changes shape: every digest is
 # prefixed with it, so old cache entries become unreachable, not wrong.
-KEY_SCHEMA = b"repro-cache-key/1"
+KEY_SCHEMA = b"repro-cache-key/2"
 
 _DIGEST_SIZE = 16  # 128-bit; collisions are out of reach for a cache
 
@@ -253,10 +258,6 @@ def engine_fingerprint(
     dedup: Optional[bool] = None,
     check_emulation: bool = True,
     incremental: bool = True,
-    on_budget: str = "raise",
-    max_steps: Optional[int] = None,
-    max_nodes: Optional[int] = None,
-    max_seconds: Optional[float] = None,
 ) -> Optional[str]:
     """Digest of everything about the engine configuration that can
     change the lift's event stream, or ``None`` when the stepper is
@@ -266,8 +267,7 @@ def engine_fingerprint(
     stream entry points fingerprint *after* ``_apply_stepper_mode``, so
     an explicit ``stepper_mode="refocus"`` and a default-refocus stepper
     fingerprint identically — they produce identical streams — while
-    refocus vs naive differ).  Budgets are part of the key because a
-    truncated lift's event stream depends on the budget's value.
+    refocus vs naive differ).
     """
     step_fp = stepper_fingerprint(stepper)
     if step_fp is None:
@@ -279,10 +279,6 @@ def engine_fingerprint(
         b";dedup=" + str(dedup).encode(),
         b";emu=" + str(check_emulation).encode(),
         b";inc=" + str(incremental).encode(),
-        b";on_budget=" + on_budget.encode(),
-        b";max_steps=" + str(max_steps).encode(),
-        b";max_nodes=" + str(max_nodes).encode(),
-        b";max_seconds=" + str(max_seconds).encode(),
     ]
     return _hash(parts)
 

@@ -3,28 +3,25 @@
 A :class:`LiftCache` wraps one :class:`~repro.cache.store.CacheStore`
 directory with the two tiers the streaming engine uses:
 
-* **Whole-lift tier** (``lift/``): the full recorded event stream of a
-  completed lift, keyed by (program digest, ruleset fingerprint, engine
-  fingerprint).  A hit means the engine replays the recorded frames and
-  never steps at all; a repeated corpus costs disk reads.
+* **Whole-lift tier** (``lift/``): the complete recorded event stream
+  of a lift that ran to :class:`~repro.engine.events.Halted`, keyed by
+  (program digest, ruleset fingerprint, engine fingerprint) — budgets
+  are not key material.  A hit means the engine replays the recorded
+  frames, cut at the request's own budget, and never steps at all; a
+  repeated corpus costs disk reads.
 * **Memo tier** (``memo/``): a :class:`~repro.core.incremental.ResugarCache`
   snapshot keyed by ruleset fingerprint alone — every entry is a pure
   per-subterm function of the rules, so a *new* program still warm-starts
   from every subterm any earlier program shared.
 
-What is deliberately NOT cacheable:
-
-* lifts through a stepper with no stable identity
-  (:func:`~repro.cache.keys.stepper_fingerprint` returned ``None``);
-* lifts with a wall-clock budget (``max_seconds``): where such a lift
-  truncates depends on machine speed, so two runs with the same key can
-  legitimately differ — caching one would break cold==warm equivalence.
-
-Both refusals surface as :meth:`lift_key` returning ``None``, which the
-engine treats as "run cold, store nothing".  Storing is further gated by
-the engine on having seen a *terminal* event (Halted/BudgetExhausted):
-a lift abandoned mid-stream, cancelled via ``should_stop``, or ended by
-an exception must never populate the cache with a partial stream.
+What is deliberately NOT cacheable: lifts through a stepper with no
+stable identity (:func:`~repro.cache.keys.stepper_fingerprint` returned
+``None``).  :meth:`lift_key` returns ``None`` for them, which the engine
+treats as "run cold, store nothing".  Storing is further gated on the
+stream ending in ``Halted`` within :data:`MAX_LIFT_EVENTS` events: a
+lift cut by a budget, abandoned mid-stream, cancelled via
+``should_stop``, ended by an exception, or too long never populates the
+whole-lift tier.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from repro.cache.store import CacheStore
 from repro.core.incremental import ResugarCache
 from repro.core.rules import RuleList
 from repro.core.terms import Pattern
-from repro.engine.events import BudgetExhausted, Halted, LiftEvent
+from repro.engine.events import Halted, LiftEvent
 from repro.obs.metrics import (
     CACHE_CORRUPT,
     CACHE_LIFT_HITS,
@@ -46,7 +43,7 @@ from repro.obs.metrics import (
     CACHE_MEMO_HYDRATED,
 )
 
-__all__ = ["LiftCache", "DEFAULT_MAX_MEMO_ENTRIES"]
+__all__ = ["LiftCache", "DEFAULT_MAX_MEMO_ENTRIES", "MAX_LIFT_EVENTS"]
 
 LIFT_TIER = "lift"
 MEMO_TIER = "memo"
@@ -55,6 +52,10 @@ MEMO_TIER = "memo"
 # cost would start rivaling the work saved, and a runaway workload must
 # not turn the cache directory into a term-table dump.
 DEFAULT_MAX_MEMO_ENTRIES = 200_000
+
+# Longer recordings (about 10k core steps) are not stored: this bounds
+# each whole-lift entry and spares a long lift the pickle and write.
+MAX_LIFT_EVENTS = 20_000
 
 
 class LiftCache:
@@ -102,11 +103,9 @@ class LiftCache:
         max_seconds: Optional[float] = None,
     ) -> Optional[str]:
         """The cache key for one lift request, or ``None`` when the
-        request must not be cached (unidentifiable stepper, or a
-        wall-clock budget whose truncation point is machine-dependent).
-        """
-        if max_seconds is not None:
-            return None
+        stepper is unidentifiable.  The budgets and ``on_budget`` are
+        accepted but never reach the key: every budgeted lift is a
+        prefix of the one complete recording."""
         return _lift_key(
             rules,
             stepper,
@@ -115,17 +114,13 @@ class LiftCache:
             dedup=dedup,
             check_emulation=check_emulation,
             incremental=incremental,
-            on_budget=on_budget,
-            max_steps=max_steps,
-            max_nodes=max_nodes,
-            max_seconds=max_seconds,
         )
 
     def lookup_lift(self, key: str) -> Optional[Tuple[LiftEvent, ...]]:
         """The recorded event stream for ``key``, or ``None`` (cold).
 
         The payload is shape-checked on top of the store's checksum: it
-        must be a tuple of lift events ending in a terminal.  Anything
+        must be a tuple of lift events ending in ``Halted``.  Anything
         else is treated exactly like file corruption — evicted, counted,
         and reported cold.
         """
@@ -138,7 +133,7 @@ class LiftCache:
             isinstance(value, tuple)
             and value
             and all(isinstance(ev, LiftEvent) for ev in value)
-            and isinstance(value[-1], (Halted, BudgetExhausted))
+            and isinstance(value[-1], Halted)
         ):
             self.store._quarantine(self.store.path_for(LIFT_TIER, key))
             self.store.counters["corrupt"] += 1
@@ -151,8 +146,15 @@ class LiftCache:
         return value
 
     def store_lift(self, key: str, events: Tuple[LiftEvent, ...]) -> bool:
-        """Record a *completed* event stream.  Callers must only pass
-        streams that ended in a terminal event."""
+        """Record a *complete* event stream.  Anything not ending in
+        ``Halted`` (a budget cut, a cancellation) is refused, and so is
+        a stream longer than :data:`MAX_LIFT_EVENTS`."""
+        if not (
+            events
+            and isinstance(events[-1], Halted)
+            and len(events) <= MAX_LIFT_EVENTS
+        ):
+            return False
         return self.store.put(LIFT_TIER, key, tuple(events))
 
     # --- memo tier ---------------------------------------------------

@@ -293,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="server-side cap clamped onto every request's wall-clock "
         "budget (applies even when the request sets none; default: 30; "
-        "0 disables the cap, which also lets --cache serve whole-lift "
-        "replays — wall-clock-budgeted lifts are uncacheable by design)",
+        "0 disables the cap)",
     )
     serve.add_argument(
         "--cache",

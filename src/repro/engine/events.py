@@ -136,7 +136,9 @@ class BudgetExhausted(LiftEvent):
     ``budget`` names the exhausted budget: ``"steps"`` (sequence lifts),
     ``"nodes"`` (tree lifts), or ``"seconds"`` (wall clock).  ``limit``
     is the configured bound.  Everything yielded before this event is a
-    valid, well-formed prefix of the full lift.
+    valid, well-formed prefix of the full lift.  ``cache_stats`` is as on
+    :class:`Halted`; a budget cut of a cache replay carries the recorded
+    complete run's stats (``docs/caching.md``).
     """
 
     core_step_count: int

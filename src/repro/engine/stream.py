@@ -24,18 +24,15 @@ and an ``on_budget`` policy deciding what exhaustion means:
   event already yielded is a valid prefix of the full lift.
 
 Both generators also accept a persistent ``cache``
-(:class:`repro.cache.LiftCache`).  With one attached, a lift first
-consults the whole-lift tier: a hit replays the recorded event stream —
-byte-identical frames, no desugaring, no stepping — and a cold run that
-reaches its terminal event is recorded for next time.  Incremental runs
-additionally hydrate their per-run
-:class:`~repro.core.incremental.ResugarCache` from the memo tier and
-persist it back after the terminal event.  Uncacheable requests
-(unidentifiable stepper, wall-clock budgets — see
-:meth:`repro.cache.LiftCache.lift_key`) run exactly as if no cache were
-attached, and a lift that ends without a terminal event (cancellation,
-``on_budget="raise"`` exhaustion, any raised error) never stores a
-partial stream.
+(:class:`repro.cache.LiftCache`).  Budgets are not cache-key material:
+only complete (``Halted``) streams are recorded, and a hit replays the
+recording through the cold loop's own budget gate, so it cuts where and
+as a cold run would.  The wall clock runs against the replay:
+``max_seconds=0`` cuts at index 0, a positive one gets the complete
+recording.  A hit never desugars, steps or resugars.  Incremental cold
+runs also hydrate their :class:`~repro.core.incremental.ResugarCache`
+from the memo tier and persist it back before the terminal event.
+Lifts through an unidentifiable stepper run as if no cache were attached.
 
 Both also take a *cooperative cancellation hook*: ``should_stop``, a
 zero-argument callable polled once per core step.  When it returns
@@ -146,44 +143,84 @@ def _check_policy(on_budget: str) -> None:
         )
 
 
-def _deadline(max_seconds: Optional[float]) -> Optional[float]:
-    if max_seconds is None:
-        return None
-    if max_seconds < 0:
-        raise ValueError(f"max_seconds must be >= 0, got {max_seconds!r}")
-    return monotonic() + max_seconds
+class _Budget:
+    """The one exhaustion gate of the cold loops and of cache replay.
+    ``kind`` is ``"steps"`` (core indices 0..``limit`` run) or
+    ``"nodes"`` (``limit`` nodes explored); the clock starts here."""
+
+    def __init__(self, kind, limit, max_seconds, on_budget):
+        if max_seconds is not None and max_seconds < 0:
+            raise ValueError(f"max_seconds must be >= 0, got {max_seconds!r}")
+        self.kind, self.limit, self.on_budget = kind, limit, on_budget
+        self.stop_at = limit + 1 if kind == "steps" else limit
+        self.max_seconds = max_seconds
+        self.deadline = None if max_seconds is None else monotonic() + max_seconds
+
+    def check(self, index, stats, span=None, persist_memo=None):
+        """``None`` while core index ``index`` may still run; otherwise
+        raise (``"raise"``) or return the terminal ``BudgetExhausted``
+        (``"truncate"``) after marking ``span`` and persisting the memo."""
+        if index >= self.stop_at:
+            kind, limit = self.kind, self.limit
+        elif self.deadline is not None and monotonic() >= self.deadline:
+            kind, limit = "seconds", self.max_seconds
+        else:
+            return None
+        if self.on_budget == "raise":
+            subject = "evaluation" if self.kind == "steps" else "evaluation tree"
+            if kind == "seconds":
+                message = (
+                    f"{subject} exceeded the {limit:g}s time budget after "
+                    f"{index} core {self.kind}"
+                )
+            elif kind == "steps":
+                message = f"evaluation did not finish within {limit} steps"
+            else:
+                message = f"evaluation tree exceeded {limit} core nodes"
+            raise ReproError(message)
+        if span is not None:
+            span.attrs["truncated"] = kind
+        if persist_memo is not None:
+            persist_memo()
+        return BudgetExhausted(index, stats, kind, limit)
 
 
-def _replay(recorded, mode: str, should_stop) -> Iterator[LiftEvent]:
-    """Yield a recorded event stream (a whole-lift cache hit).
+def _replay(recorded, mode: str, should_stop, budget) -> Iterator[LiftEvent]:
+    """Yield a recorded complete event stream (a whole-lift cache hit),
+    cut by ``budget`` exactly where a cold run would stop.
 
     The frames are exactly what the cold run yielded — terms re-interned
     at load, stats intact — so folds and renderers cannot tell the
-    difference.  Cancellation is still honored between frames.  Per-step
-    instrumentation does not re-fire (nothing was resugared); with
-    observability on, the run appears as a single ``lift`` span marked
-    ``cache="hit"``.
+    difference; a cut ends in a ``BudgetExhausted`` carrying the
+    recording's terminal stats.  Cancellation is still honored between
+    frames.  Per-step instrumentation does not re-fire (nothing was
+    resugared); with observability on, the run appears as a single
+    ``lift`` span marked ``cache="hit"``.
     """
     if _obs.enabled:
         with _span("lift", mode=mode, cache="hit"):
             pass
+    stats = recorded[-1].cache_stats
     for event in recorded:
         if should_stop is not None and should_stop():
             return
+        if isinstance(event, CoreStepped):
+            cut = budget.check(event.core_index, stats)
+            if cut is not None:
+                yield cut
+                return
         yield event
 
 
 def _recording(body, cache, cache_key: str) -> Iterator[LiftEvent]:
-    """Pass ``body``'s events through, and store the whole stream iff it
-    ended in a terminal event.  An abandoned generator, a cooperative
-    cancellation, or any raised error leaves the loop before the
-    terminal check — a partial stream is never persisted."""
+    """Pass ``body``'s events through, then offer the stream to the
+    cache (:meth:`~repro.cache.LiftCache.store_lift` decides).  An
+    abandoned generator or any raised error leaves before the offer."""
     events = []
     for event in body:
         events.append(event)
         yield event
-    if events and isinstance(events[-1], (Halted, BudgetExhausted)):
-        cache.store_lift(cache_key, tuple(events))
+    cache.store_lift(cache_key, tuple(events))
 
 
 def lift_stream(
@@ -218,8 +255,8 @@ def lift_stream(
     core step, and a true return ends the stream with no terminal
     event.  ``cache`` attaches a persistent
     :class:`repro.cache.LiftCache` (see the module docstring): a
-    whole-lift hit replays the recorded frames; a cold terminal-reaching
-    run records them.
+    whole-lift hit replays the recorded frames up to this call's budget;
+    a cold run that halts records them.
 
     With observability on (:mod:`repro.obs`), the run is wrapped in a
     ``lift`` span, every core step gets a ``lift.step`` child span
@@ -235,13 +272,13 @@ def lift_stream(
         cache_key = cache.lift_key(
             rules, stepper, surface_term, mode="sequence",
             dedup=dedup, check_emulation=check_emulation,
-            incremental=incremental, on_budget=on_budget,
-            max_steps=max_steps, max_seconds=max_seconds,
+            incremental=incremental,
         )
         if cache_key is not None:
             recorded = cache.lookup_lift(cache_key)
             if recorded is not None:
-                yield from _replay(recorded, "sequence", should_stop)
+                budget = _Budget("steps", max_steps, max_seconds, on_budget)
+                yield from _replay(recorded, "sequence", should_stop, budget)
                 return
     # The provenance run scope opens before desugaring so the initial
     # expansions are attributed to this run too.  The run's per-rule
@@ -290,7 +327,7 @@ def _lift_stream_body(
         if cache is not None and lift_cache is not None:
             lift_cache.persist_memo(cache)
 
-    deadline = _deadline(max_seconds)
+    budget = _Budget("steps", max_steps, max_seconds, on_budget)
     last_emitted: Optional[Pattern] = None
     index = 0
 
@@ -323,26 +360,9 @@ def _lift_stream_body(
             if lift_span is not None:
                 lift_span.attrs["cancelled"] = True
             return
-        if index > max_steps:
-            if on_budget == "raise":
-                raise ReproError(
-                    f"evaluation did not finish within {max_steps} steps"
-                )
-            if lift_span is not None:
-                lift_span.attrs["truncated"] = "steps"
-            persist_memo()
-            yield BudgetExhausted(index, stats, "steps", max_steps)
-            return
-        if deadline is not None and monotonic() >= deadline:
-            if on_budget == "raise":
-                raise ReproError(
-                    f"evaluation exceeded the {max_seconds:g}s time "
-                    f"budget after {index} core steps"
-                )
-            if lift_span is not None:
-                lift_span.attrs["truncated"] = "seconds"
-            persist_memo()
-            yield BudgetExhausted(index, stats, "seconds", max_seconds)
+        cut = budget.check(index, stats, lift_span, persist_memo)
+        if cut is not None:
+            yield cut
             return
 
         term = stepper.term(state)
@@ -415,13 +435,12 @@ def lift_tree_stream(
         cache_key = cache.lift_key(
             rules, stepper, surface_term, mode="tree",
             check_emulation=check_emulation, incremental=incremental,
-            on_budget=on_budget, max_nodes=max_nodes,
-            max_seconds=max_seconds,
         )
         if cache_key is not None:
             recorded = cache.lookup_lift(cache_key)
             if recorded is not None:
-                yield from _replay(recorded, "tree", should_stop)
+                budget = _Budget("nodes", max_nodes, max_seconds, on_budget)
+                yield from _replay(recorded, "tree", should_stop, budget)
                 return
     # Same scoping as lift_stream: run provenance opens before
     # desugaring, rule_stats attach while the lift span is open.
@@ -465,7 +484,7 @@ def _lift_tree_stream_body(
         if cache is not None and lift_cache is not None:
             lift_cache.persist_memo(cache)
 
-    deadline = _deadline(max_seconds)
+    budget = _Budget("nodes", max_nodes, max_seconds, on_budget)
     # Queue holds (state, nearest surface ancestor id or None).
     queue: deque = deque([(stepper.load(core), None)])
     next_id = 0
@@ -500,26 +519,9 @@ def _lift_tree_stream_body(
             if lift_span is not None:
                 lift_span.attrs["cancelled"] = True
             return
-        if explored >= max_nodes:
-            if on_budget == "raise":
-                raise ReproError(
-                    f"evaluation tree exceeded {max_nodes} core nodes"
-                )
-            if lift_span is not None:
-                lift_span.attrs["truncated"] = "nodes"
-            persist_memo()
-            yield BudgetExhausted(explored, stats, "nodes", max_nodes)
-            return
-        if deadline is not None and monotonic() >= deadline:
-            if on_budget == "raise":
-                raise ReproError(
-                    f"evaluation tree exceeded the {max_seconds:g}s time "
-                    f"budget after {explored} core nodes"
-                )
-            if lift_span is not None:
-                lift_span.attrs["truncated"] = "seconds"
-            persist_memo()
-            yield BudgetExhausted(explored, stats, "seconds", max_seconds)
+        cut = budget.check(explored, stats, lift_span, persist_memo)
+        if cut is not None:
+            yield cut
             return
 
         state, parent = queue.popleft()

@@ -11,8 +11,10 @@ about its keys, each pinned here with Hypothesis:
   exactly the "subtly wrong ruleset" an attacker of the cache would
   construct;
 * the engine-config fingerprint separates every (stepper mode,
-  resugaring mode, budget) combination, so a recorded stream can never
-  be replayed under options it was not produced with.
+  resugaring mode) combination, so a recorded stream can never be
+  replayed under options it was not produced with — while budgets and
+  ``on_budget`` never reach the key, since every budgeted lift is a
+  prefix of the one complete recording.
 """
 
 from __future__ import annotations
@@ -186,23 +188,47 @@ def test_engine_fingerprint_separates_every_config_axis():
     stepper = get_backend("lambda").make_stepper()
     grid = [
         dict(mode="sequence", dedup=True, check_emulation=True,
-             incremental=True, on_budget="raise", max_steps=100),
+             incremental=True),
         dict(mode="sequence", dedup=False, check_emulation=True,
-             incremental=True, on_budget="raise", max_steps=100),
+             incremental=True),
         dict(mode="sequence", dedup=True, check_emulation=False,
-             incremental=True, on_budget="raise", max_steps=100),
+             incremental=True),
         dict(mode="sequence", dedup=True, check_emulation=True,
-             incremental=False, on_budget="raise", max_steps=100),
-        dict(mode="sequence", dedup=True, check_emulation=True,
-             incremental=True, on_budget="truncate", max_steps=100),
-        dict(mode="sequence", dedup=True, check_emulation=True,
-             incremental=True, on_budget="raise", max_steps=101),
+             incremental=False),
         dict(mode="tree", dedup=True, check_emulation=True,
-             incremental=True, on_budget="raise", max_nodes=100),
+             incremental=True),
     ]
     fps = [engine_fingerprint(stepper, **cfg) for cfg in grid]
     fps.append(engine_fingerprint(stepper.with_mode("naive"), **grid[0]))
     assert len(set(fps)) == len(fps)
+
+
+@pytest.mark.parametrize("mode", ["sequence", "tree"])
+def test_budgets_leave_the_lift_key_unchanged(reference_rules, tmp_path, mode):
+    """A budget selects a prefix of the one complete lift, so no budget
+    size, wall clock, or ``on_budget`` policy passed to
+    :meth:`LiftCache.lift_key` may move the key away from the budget-free
+    module function's."""
+    from repro.cache import LiftCache
+
+    stepper = get_backend("lambda").make_stepper()
+    config = dict(mode=mode, check_emulation=True, incremental=True)
+    budgets = [
+        {},
+        dict(on_budget="raise", max_steps=100),
+        dict(on_budget="truncate", max_steps=101),
+        dict(on_budget="truncate", max_nodes=0),
+        dict(max_steps=0, max_seconds=0.0),
+        dict(on_budget="raise", max_nodes=7, max_seconds=30.0),
+    ]
+    lift_cache = LiftCache(tmp_path)
+    keys = {
+        lift_cache.lift_key(reference_rules, stepper, Const(1), **config,
+                            **budget)
+        for budget in budgets
+    }
+    assert keys == {lift_key(reference_rules, stepper, Const(1), **config)}
+    assert None not in keys
 
 
 def test_stepper_fingerprint_covers_mode():
@@ -230,8 +256,6 @@ def test_unidentifiable_stepper_is_uncacheable(reference_rules):
             dedup=True,
             check_emulation=True,
             incremental=True,
-            on_budget="raise",
-            max_steps=10,
         )
         is None
     )
@@ -244,8 +268,6 @@ def test_lift_key_depends_on_program(reference_rules):
         dedup=True,
         check_emulation=True,
         incremental=True,
-        on_budget="raise",
-        max_steps=10,
     )
     k1 = lift_key(reference_rules, stepper, Const(1), **kwargs)
     k2 = lift_key(reference_rules, stepper, Const(2), **kwargs)

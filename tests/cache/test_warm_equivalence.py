@@ -28,7 +28,7 @@ STEPPER_MODES = ("refocus", "naive")
 RESUGAR_MODES = (True, False)  # incremental / naive
 
 
-def _run(path, cache, stepper_mode, incremental):
+def _run(path, cache, stepper_mode, incremental, budgeted=True):
     sugar, program, expected, stats, options = parse_golden(path)
     make_rules, make_stepper, parse, pretty = _configs()[sugar]
     confection = Confection(make_rules(), make_stepper(), cache=cache)
@@ -36,10 +36,14 @@ def _run(path, cache, stepper_mode, incremental):
         parse(program),
         stepper_mode=stepper_mode,
         incremental=incremental,
-        **lift_kwargs(options),
+        **(lift_kwargs(options) if budgeted else {}),
     )
     rendered = [pretty(t) for t in result.surface_sequence]
     return rendered, expected, stats, options, result
+
+
+def _lift_entries(root):
+    return len(list((root / "lift").rglob("*.bin")))
 
 
 @pytest.mark.parametrize(
@@ -48,15 +52,25 @@ def _run(path, cache, stepper_mode, incremental):
 def test_cold_equals_warm_across_engine_grid(path, tmp_path):
     """One shared cache directory, four engine configurations, two
     passes each: every pass must reproduce the pinned golden trace
-    exactly, and every cacheable warm pass must come from the cache."""
+    exactly, and every warm pass must come from the cache.  The cold
+    pass always steps.  Only complete lifts are recorded, so a cold pass
+    cut by its budget stores nothing, and its complete lift is primed
+    before the warm pass, which is then a cut replay."""
     for stepper_mode in STEPPER_MODES:
         for incremental in RESUGAR_MODES:
+            entries = _lift_entries(tmp_path)
             cold_cache = LiftCache(tmp_path)
             cold, expected, stats, options, cold_result = _run(
                 path, cold_cache, stepper_mode, incremental
             )
             assert cold == expected
             assert cold_result.truncated == bool(stats.get("truncated", 0))
+            assert cold_cache.lift_misses == 1
+            if cold_result.truncated:
+                assert _lift_entries(tmp_path) == entries
+                _run(path, LiftCache(tmp_path), stepper_mode, incremental,
+                     budgeted=False)
+            assert _lift_entries(tmp_path) == entries + 1
 
             warm_cache = LiftCache(tmp_path)
             warm, _, _, _, warm_result = _run(
@@ -67,16 +81,12 @@ def test_cold_equals_warm_across_engine_grid(path, tmp_path):
             assert warm_result.skipped_count == cold_result.skipped_count
             assert warm_result.truncated == cold_result.truncated
 
-            cacheable = "max_seconds" not in options
-            if cacheable:
-                assert warm_cache.lift_hits == 1, (
-                    f"{path.stem}: warm run missed the cache "
-                    f"(stepper={stepper_mode}, incremental={incremental})"
-                )
-            else:
-                # Wall-clock-budgeted lifts are deliberately uncacheable.
-                assert warm_cache.lift_hits == 0
-                assert cold_cache.store.counters["stores"] == 0
+            # Wall-clock budgets included: a complete recording answers
+            # any budget, so every warm pass is a hit.
+            assert warm_cache.lift_hits == 1, (
+                f"{path.stem}: warm run missed the cache "
+                f"(stepper={stepper_mode}, incremental={incremental})"
+            )
             assert warm_cache.store.counters["corrupt"] == 0
 
 

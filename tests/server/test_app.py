@@ -222,6 +222,51 @@ class TestBudgetIsolation:
         _wait_for_no_sessions(harness.manager)
 
 
+class TestWarmCacheServing:
+    """Under the *default* caps every session carries a wall-clock
+    budget; budget-free cache keys must still put repeated sessions on
+    the whole-lift tier, byte-identical to a cold session."""
+
+    PROGRAM = "(or #f #f (not #t) (and #t #f) #t)"
+
+    @staticmethod
+    def _lift_hits(harness) -> float:
+        _, _, body = wire.request(harness.host, harness.port, "GET", "/metrics")
+        for line in body.decode().splitlines():
+            if line.startswith("repro_cache_lift_hits_total "):
+                return float(line.split()[1])
+        return 0.0
+
+    def test_repeated_session_is_a_whole_lift_hit(self, make_server, tmp_path):
+        cached = make_server(max_sessions=4, cache_dir=tmp_path)
+        assert cached.server.limits.max_seconds_cap is not None
+        plain = make_server(max_sessions=4)
+        request = {"program": self.PROGRAM}
+
+        first = wire.lift_session_raw(cached.host, cached.port, request)
+        hits = self._lift_hits(cached)
+        again = wire.lift_session_raw(cached.host, cached.port, request)
+        assert self._lift_hits(cached) == hits + 1
+        assert again == first
+        assert wire.lift_session_raw(plain.host, plain.port, request) == first
+
+        # A later, shorter budget is cut from the same recording and
+        # answers exactly what a cacheless server does.
+        for on_budget in ("truncate", "raise"):
+            budgeted = dict(request, max_steps=2, on_budget=on_budget)
+            hits = self._lift_hits(cached)
+            warm = wire.lift_session_raw(cached.host, cached.port, budgeted)
+            assert self._lift_hits(cached) == hits + 1
+            cold = wire.lift_session_raw(plain.host, plain.port, budgeted)
+            assert warm == cold
+            terminal = json.loads(warm.splitlines()[-1])
+            assert terminal["type"] == (
+                "budget" if on_budget == "truncate" else "error"
+            )
+        _wait_for_no_sessions(cached.manager)
+        _wait_for_no_sessions(plain.manager)
+
+
 class TestAdmissionAndDisconnect:
     def test_session_cap_rejects_with_503(self, make_server):
         harness = make_server(max_sessions=0)
