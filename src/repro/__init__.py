@@ -68,6 +68,7 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
+    "LiftConfig",
     "lift_stream",
     "lift_tree_stream",
 ]
@@ -81,6 +82,7 @@ _LAZY_EXPORTS = {
     "register_backend": ("repro.engine.registry", "register_backend"),
     "get_backend": ("repro.engine.registry", "get_backend"),
     "available_backends": ("repro.engine.registry", "available_backends"),
+    "LiftConfig": ("repro.engine.config", "LiftConfig"),
     "lift_stream": ("repro.engine.stream", "lift_stream"),
     "lift_tree_stream": ("repro.engine.stream", "lift_tree_stream"),
 }

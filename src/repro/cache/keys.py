@@ -20,9 +20,10 @@ All three are hex blake2b digests of a canonical byte serialization:
   atomic variables) plus the disjointness mode, so *any* edit to any
   rule changes the fingerprint — the invalidation contract is "new
   rules, new namespace", never "stale hit".
-* :func:`engine_fingerprint` covers the stepper identity and every
-  lift option that can change the event stream: sequence vs tree mode,
-  ``stepper_mode``, dedup, emulation checking, and incrementality.
+* :func:`engine_fingerprint` covers the stepper identity plus the key
+  fields of the :class:`~repro.engine.config.LiftConfig` (sequence vs
+  tree mode, dedup, emulation checking, incrementality), derived from
+  the config itself so no option can be left out by hand.
   Steppers may expose a ``cache_fingerprint()`` hook; steppers with no
   recognizable identity (an arbitrary function stepper) yield ``None``,
   which callers must treat as *uncacheable*.
@@ -251,44 +252,28 @@ def stepper_fingerprint(stepper) -> Optional[str]:
     return _hash(parts)
 
 
-def engine_fingerprint(
-    stepper,
-    *,
-    mode: str,
-    dedup: Optional[bool] = None,
-    check_emulation: bool = True,
-    incremental: bool = True,
-) -> Optional[str]:
-    """Digest of everything about the engine configuration that can
-    change the lift's event stream, or ``None`` when the stepper is
-    unidentifiable (= this lift is uncacheable).
+def engine_fingerprint(stepper, config) -> Optional[str]:
+    """Digest of the stepper identity and ``config``'s key fields
+    (:meth:`~repro.engine.config.LiftConfig.key_parts`), or ``None``
+    when the stepper is unidentifiable (= this lift is uncacheable).
 
-    ``stepper`` must already have its ``stepper_mode`` resolved (the
-    stream entry points fingerprint *after* ``_apply_stepper_mode``, so
-    an explicit ``stepper_mode="refocus"`` and a default-refocus stepper
+    ``stepper`` must already have ``config.stepper_mode`` applied, so an
+    explicit ``stepper_mode="refocus"`` and a default-refocus stepper
     fingerprint identically — they produce identical streams — while
-    refocus vs naive differ).
+    refocus vs naive differ.
     """
     step_fp = stepper_fingerprint(stepper)
     if step_fp is None:
         return None
-    parts = [
-        b"engine/",
-        step_fp.encode(),
-        b";mode=" + mode.encode(),
-        b";dedup=" + str(dedup).encode(),
-        b";emu=" + str(check_emulation).encode(),
-        b";inc=" + str(incremental).encode(),
-    ]
-    return _hash(parts)
+    return _hash([b"engine/", step_fp.encode(), *config.key_parts()])
 
 
 def lift_key(
-    rules: RuleList, stepper, surface_term: Pattern, **options
+    rules: RuleList, stepper, surface_term: Pattern, config
 ) -> Optional[str]:
     """The whole-lift cache key for one request, or ``None`` when the
     request is uncacheable (see :func:`engine_fingerprint`)."""
-    engine_fp = engine_fingerprint(stepper, **options)
+    engine_fp = engine_fingerprint(stepper, config)
     if engine_fp is None:
         return None
     return _hash(

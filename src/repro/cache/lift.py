@@ -35,6 +35,7 @@ from repro.cache.store import CacheStore
 from repro.core.incremental import ResugarCache
 from repro.core.rules import RuleList
 from repro.core.terms import Pattern
+from repro.engine.config import LiftConfig
 from repro.engine.events import Halted, LiftEvent
 from repro.obs.metrics import (
     CACHE_CORRUPT,
@@ -92,29 +93,17 @@ class LiftCache:
         rules: RuleList,
         stepper,
         surface_term: Pattern,
-        *,
-        mode: str,
-        dedup: Optional[bool] = None,
-        check_emulation: bool = True,
-        incremental: bool = True,
-        on_budget: str = "raise",
-        max_steps: Optional[int] = None,
-        max_nodes: Optional[int] = None,
-        max_seconds: Optional[float] = None,
+        config: Optional[LiftConfig] = None,
+        **options,
     ) -> Optional[str]:
-        """The cache key for one lift request, or ``None`` when the
-        stepper is unidentifiable.  The budgets and ``on_budget`` are
-        accepted but never reach the key: every budgeted lift is a
+        """The cache key for one lift request under ``config`` (or the
+        :class:`~repro.engine.config.LiftConfig` keyword ``options``),
+        or ``None`` when the stepper is unidentifiable.  Budgets and
+        ``on_budget`` never reach the key: every budgeted lift is a
         prefix of the one complete recording."""
-        return _lift_key(
-            rules,
-            stepper,
-            surface_term,
-            mode=mode,
-            dedup=dedup,
-            check_emulation=check_emulation,
-            incremental=incremental,
-        )
+        if config is None:
+            config = LiftConfig(**options)
+        return _lift_key(rules, stepper, surface_term, config)
 
     def lookup_lift(self, key: str) -> Optional[Tuple[LiftEvent, ...]]:
         """The recorded event stream for ``key``, or ``None`` (cold).

@@ -36,8 +36,8 @@ from repro.confection import Confection
 from repro.core.errors import ReproError
 from repro.core.wellformed import DisjointnessMode
 from repro.engine import events
+from repro.engine.config import ON_BUDGET_POLICIES, LiftConfig
 from repro.engine.registry import Backend, available_backends, get_backend
-from repro.engine.stream import ON_BUDGET_POLICIES
 from repro.redex.reduction import STEPPER_MODES
 
 __all__ = ["main", "build_parser"]
@@ -83,29 +83,26 @@ def build_parser() -> argparse.ArgumentParser:
         if with_program:
             p.add_argument("program", help="program text (or @file to read one)")
 
+    def budgets(p, steps_help, seconds_help, on_budget_help):
+        # Checked by LiftConfig in main(), as usage errors.
+        p.add_argument("--max-steps", type=int, default=100_000, help=steps_help)
+        p.add_argument("--max-seconds", type=float, default=None, help=seconds_help)
+        p.add_argument(
+            "--on-budget", choices=ON_BUDGET_POLICIES, default="raise",
+            help=on_budget_help,
+        )
+
     lift = sub.add_parser("lift", help="lift a surface evaluation sequence")
     common(lift)
     lift.add_argument(
         "--tree", action="store_true", help="lift a nondeterministic tree"
     )
-    lift.add_argument(
-        "--max-steps",
-        type=int,
-        default=100_000,
-        help="step budget (explored core nodes with --tree)",
-    )
-    lift.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="wall-clock budget for the lift",
-    )
-    lift.add_argument(
-        "--on-budget",
-        choices=ON_BUDGET_POLICIES,
-        default="raise",
-        help="budget exhaustion policy: error out, or truncate the "
-        "trace (default: raise)",
+    budgets(
+        lift,
+        "step budget (explored core nodes with --tree)",
+        "wall-clock budget for the lift",
+        "budget exhaustion policy: error out, or truncate the trace "
+        "(default: raise)",
     )
     lift.add_argument(
         "--stepper",
@@ -176,21 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat every non-empty, non-comment line of each input "
         "file as its own program",
     )
-    batch.add_argument(
-        "--max-steps", type=int, default=100_000, help="per-job step budget"
-    )
-    batch.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="per-job wall-clock budget",
-    )
-    batch.add_argument(
-        "--on-budget",
-        choices=ON_BUDGET_POLICIES,
-        default="raise",
-        help="per-job budget policy (raise surfaces as a job error; "
-        "the batch always continues)",
+    budgets(
+        batch,
+        "per-job step budget",
+        "per-job wall-clock budget",
+        "per-job budget policy (raise surfaces as a job error; the batch "
+        "always continues)",
     )
     batch.add_argument(
         "--metrics",
@@ -401,18 +389,11 @@ def _cmd_lift(args) -> int:
 
 def _run_lift(args, confection, backend) -> int:
     program = backend.parse(_read_program(args.program))
-    budget_kwargs = dict(
-        max_seconds=args.max_seconds,
-        on_budget=args.on_budget,
-        stepper_mode=args.stepper,
-    )
     if args.tree:
-        return _cmd_lift_tree(args, confection, backend, program, budget_kwargs)
+        return _cmd_lift_tree(args, confection, backend, program)
     if args.html or args.table:
         # These renderings need the whole trace; fold the stream.
-        result = confection.lift(
-            program, max_steps=args.max_steps, **budget_kwargs
-        )
+        result = confection.lift(program, config=args.config)
         if args.html:
             from repro.viz import render_html
 
@@ -428,9 +409,7 @@ def _run_lift(args, confection, backend) -> int:
     # Streaming path: print surface steps as the engine produces them.
     core = skipped = 0
     exhausted: Optional[events.BudgetExhausted] = None
-    for event in confection.lift_stream(
-        program, max_steps=args.max_steps, **budget_kwargs
-    ):
+    for event in confection.lift_events(program, args.config):
         if isinstance(event, events.CoreStepped):
             core += 1
         elif isinstance(event, events.SurfaceEmitted):
@@ -459,10 +438,8 @@ def _run_lift(args, confection, backend) -> int:
     return 0
 
 
-def _cmd_lift_tree(args, confection, backend, program, budget_kwargs) -> int:
-    tree = confection.lift_tree(
-        program, max_nodes=args.max_steps, **budget_kwargs
-    )
+def _cmd_lift_tree(args, confection, backend, program) -> int:
+    tree = confection.lift_tree(program, config=args.config)
     if tree.root is not None:
         stack = [(tree.root, 0)]
         while stack:
@@ -495,11 +472,6 @@ def _collect_batch_jobs(args, backend):
     faults, not malformed invocations)."""
     from repro.parallel import LiftJob
 
-    budgets = dict(
-        max_steps=args.max_steps,
-        max_seconds=args.max_seconds,
-        on_budget=args.on_budget,
-    )
     jobs = []
     for path in args.inputs:
         with open(path) as handle:
@@ -513,11 +485,13 @@ def _collect_batch_jobs(args, backend):
                     LiftJob(
                         backend.parse(line),
                         name=f"{path}:{lineno}",
-                        **budgets,
+                        config=args.config,
                     )
                 )
         else:
-            jobs.append(LiftJob(backend.parse(text), name=path, **budgets))
+            jobs.append(
+                LiftJob(backend.parse(text), name=path, config=args.config)
+            )
     if not jobs:
         raise SystemExit("no programs found in the given inputs")
     return jobs
@@ -730,8 +704,25 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _lift_config(args) -> LiftConfig:
+    """The one LiftConfig of a ``lift`` / ``lift-batch`` invocation."""
+    return LiftConfig(
+        mode="tree" if getattr(args, "tree", False) else "sequence",
+        max_steps=args.max_steps,
+        max_seconds=args.max_seconds,
+        on_budget=args.on_budget,
+        stepper_mode=getattr(args, "stepper", None),
+    )
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("lift", "lift-batch"):
+        try:
+            args.config = _lift_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))  # a usage error: exit status 2
     handlers = {
         "lift": _cmd_lift,
         "lift-batch": _cmd_lift_batch,

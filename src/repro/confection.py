@@ -28,6 +28,7 @@ from repro.core.lift import (
 from repro.core.rules import Rule, RuleList
 from repro.core.terms import Pattern
 from repro.core.wellformed import DisjointnessMode
+from repro.engine.config import LiftConfig
 from repro.lang.render import render
 from repro.lang.rule_parser import parse_pattern, parse_rulelist
 from repro.obs import Observability
@@ -110,79 +111,64 @@ class Confection:
 
     # --- lifting -------------------------------------------------------
 
-    def lift(
-        self,
-        surface_term: TermLike,
-        max_steps: int = 100_000,
-        dedup: bool = True,
-        check_emulation: bool = True,
-        incremental: bool = True,
-        max_seconds: Optional[float] = None,
-        on_budget: str = "raise",
-        stepper_mode: Optional[str] = None,
-    ) -> LiftResult:
+    def lift(self, surface_term: TermLike, **options) -> LiftResult:
         """Run the program and lift its core evaluation sequence into a
         surface evaluation sequence, with per-step bookkeeping.
-
-        ``incremental`` (default) resugars through a per-run cache so a
-        step costs work proportional to the rewritten spine; disable it
-        to force the naive full-tree path (reference semantics).
-
-        ``max_steps``/``max_seconds`` budget the lift; with
-        ``on_budget="truncate"`` an exhausted budget returns a
-        well-formed partial result (``truncated=True``) instead of
-        raising."""
+        ``options`` are :class:`~repro.engine.config.LiftConfig` fields
+        (or a ``config``), as on :func:`repro.core.lift.lift_evaluation`."""
         self._require_stepper()
         with self._obs_scope():
             return lift_evaluation(
-                self.rules,
-                self.stepper,
-                self.term(surface_term),
-                max_steps=max_steps,
-                dedup=dedup,
-                check_emulation=check_emulation,
-                incremental=incremental,
-                max_seconds=max_seconds,
-                on_budget=on_budget,
-                stepper_mode=stepper_mode,
-                cache=self.cache,
+                self.rules, self.stepper, self.term(surface_term),
+                cache=self.cache, **options,
+            )
+
+    def lift_tree(self, surface_term: TermLike, **options) -> SurfaceTree:
+        """Lift a nondeterministic evaluation into a surface tree
+        (options as on :meth:`lift`, for a tree)."""
+        self._require_stepper()
+        with self._obs_scope():
+            return lift_evaluation_tree(
+                self.rules, self.stepper, self.term(surface_term),
+                cache=self.cache, **options,
             )
 
     def lift_stream(
-        self,
-        surface_term: TermLike,
-        max_steps: int = 100_000,
-        dedup: bool = True,
-        check_emulation: bool = True,
-        incremental: bool = True,
-        max_seconds: Optional[float] = None,
-        on_budget: str = "raise",
-        stepper_mode: Optional[str] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
+        self, surface_term: TermLike, *, config=None, should_stop=None,
+        **options,
     ) -> Iterator["LiftEvent"]:
         """Lift lazily, yielding :mod:`repro.engine.events` events as
-        core evaluation proceeds (the streaming face of :meth:`lift` —
-        same options, same output, but the first surface step is
-        available immediately and memory stays bounded).  ``should_stop``
-        is the cooperative cancellation hook of
-        :func:`repro.engine.stream.lift_stream`: polled once per core
+        core evaluation proceeds (the streaming face of :meth:`lift`;
+        ``should_stop`` as on :meth:`lift_events`)."""
+        config = LiftConfig.resolve("sequence", config, options)
+        return self.lift_events(surface_term, config, should_stop=should_stop)
+
+    def lift_tree_stream(
+        self, surface_term: TermLike, *, config=None, should_stop=None,
+        **options,
+    ) -> Iterator["LiftEvent"]:
+        """The streaming face of :meth:`lift_tree`: events in
+        breadth-first exploration order."""
+        config = LiftConfig.resolve("tree", config, options)
+        return self.lift_events(surface_term, config, should_stop=should_stop)
+
+    def lift_events(
+        self,
+        surface_term: TermLike,
+        config: LiftConfig,
+        *,
+        should_stop: Optional[Callable[[], bool]] = None,
+    ) -> Iterator["LiftEvent"]:
+        """Lift lazily under ``config``, whichever its mode.
+        ``should_stop`` is the cooperative cancellation hook of
+        :func:`repro.engine.stream.lift_events`: polled once per core
         step, a true return ends the stream without a terminal event."""
-        from repro.engine.stream import lift_stream
+        from repro.engine.stream import lift_events
 
         self._require_stepper()
-        stream = lift_stream(
-            self.rules,
-            self.stepper,
-            self.term(surface_term),
-            max_steps=max_steps,
-            max_seconds=max_seconds,
-            on_budget=on_budget,
-            dedup=dedup,
-            check_emulation=check_emulation,
-            incremental=incremental,
-            stepper_mode=stepper_mode,
-            should_stop=should_stop,
-            cache=self.cache,
+        stream = lift_events(
+            self.rules, self.stepper, self.term(surface_term), config,
+            should_stop=should_stop, cache=self.cache,
         )
         return self._scoped_stream(stream)
 
@@ -195,156 +181,31 @@ class Confection:
         """The surface evaluation sequence, rendered for display."""
         return [self.show(t) for t in self.surface_steps(surface_term, **kwargs)]
 
-    def lift_tree(
-        self,
-        surface_term: TermLike,
-        max_nodes: int = 100_000,
-        check_emulation: bool = True,
-        incremental: bool = True,
-        max_seconds: Optional[float] = None,
-        on_budget: str = "raise",
-        stepper_mode: Optional[str] = None,
-    ) -> SurfaceTree:
-        """Lift a nondeterministic evaluation into a surface tree."""
-        self._require_stepper()
-        with self._obs_scope():
-            return lift_evaluation_tree(
-                self.rules,
-                self.stepper,
-                self.term(surface_term),
-                max_nodes=max_nodes,
-                check_emulation=check_emulation,
-                incremental=incremental,
-                max_seconds=max_seconds,
-                on_budget=on_budget,
-                stepper_mode=stepper_mode,
-                cache=self.cache,
-            )
-
-    def lift_tree_stream(
-        self,
-        surface_term: TermLike,
-        max_nodes: int = 100_000,
-        check_emulation: bool = True,
-        incremental: bool = True,
-        max_seconds: Optional[float] = None,
-        on_budget: str = "raise",
-        stepper_mode: Optional[str] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> Iterator["LiftEvent"]:
-        """Lift a nondeterministic evaluation lazily, yielding events in
-        breadth-first exploration order (the streaming face of
-        :meth:`lift_tree`; ``should_stop`` as on :meth:`lift_stream`)."""
-        from repro.engine.stream import lift_tree_stream
-
-        self._require_stepper()
-        stream = lift_tree_stream(
-            self.rules,
-            self.stepper,
-            self.term(surface_term),
-            max_nodes=max_nodes,
-            max_seconds=max_seconds,
-            on_budget=on_budget,
-            check_emulation=check_emulation,
-            incremental=incremental,
-            stepper_mode=stepper_mode,
-            should_stop=should_stop,
-            cache=self.cache,
-        )
-        return self._scoped_stream(stream)
-
     # --- batch lifting -------------------------------------------------
 
-    def lift_corpus(
-        self,
-        corpus,
-        *,
-        jobs: Optional[int] = None,
-        payload: str = "result",
-        pretty=None,
-        collect_metrics: bool = False,
-        collect_spans: bool = False,
-        mp_context: Optional[str] = None,
-        window: Optional[int] = None,
-        cache_dir=None,
-        chunk: Optional[int] = None,
-    ):
-        """Lift a whole corpus of programs, sharded across ``jobs``
-        worker processes (default: one per CPU; ``jobs=1`` runs
-        in-process).
-
-        ``corpus`` entries are :class:`~repro.parallel.jobs.LiftJob`
-        records, terms, or DSL source strings.  Returns one
+    def lift_corpus(self, corpus, **options):
+        """Lift a whole corpus of programs across worker processes: one
         :class:`~repro.engine.events.BatchLifted` or
         :class:`~repro.engine.events.JobError` per job, in submission
-        order — a failing job is contained, never aborting the batch.
-        Workers are warmed once with this Confection's rules and
-        stepper; its ``obs`` configuration does **not** cross the
-        process boundary — pass ``collect_metrics=True`` to get per-job
-        metrics snapshots (aggregate with
-        :func:`repro.parallel.aggregate_metrics`) and
-        ``collect_spans=True`` to get per-job span trees with job
-        attribution (merge into one cross-process trace with
-        :func:`repro.parallel.aggregate_trace`).
-
-        ``cache_dir`` points every worker at one shared persistent
-        lift-cache directory (this Confection's own ``cache`` does not
-        cross the process boundary — workers each open their own
-        :class:`~repro.cache.LiftCache` against the shared store), and
-        ``chunk`` batches that many jobs per pool submission to
-        amortize pickling (default: an automatic heuristic; see
-        :class:`repro.parallel.WarmPool`).
-        """
+        order.  ``options`` are those of
+        :func:`repro.parallel.lift_corpus_stream` (``jobs``,
+        ``payload``, ``cache_dir``, ``chunk``, ...).  Workers are warmed
+        once with this Confection's rules and stepper; its ``obs`` and
+        ``cache`` do **not** cross the process boundary (pass
+        ``collect_metrics``/``collect_spans`` and ``cache_dir``)."""
         from repro.parallel import lift_corpus
 
         self._require_stepper()
-        return lift_corpus(
-            (self.rules, self.stepper),
-            corpus,
-            jobs=jobs,
-            payload=payload,
-            pretty=pretty,
-            collect_metrics=collect_metrics,
-            collect_spans=collect_spans,
-            mp_context=mp_context,
-            window=window,
-            cache_dir=cache_dir,
-            chunk=chunk,
-        )
+        return lift_corpus((self.rules, self.stepper), corpus, **options)
 
-    def lift_corpus_stream(
-        self,
-        corpus,
-        *,
-        jobs: Optional[int] = None,
-        payload: str = "result",
-        pretty=None,
-        collect_metrics: bool = False,
-        collect_spans: bool = False,
-        mp_context: Optional[str] = None,
-        window: Optional[int] = None,
-        cache_dir=None,
-        chunk: Optional[int] = None,
-    ):
+    def lift_corpus_stream(self, corpus, **options):
         """Lift a corpus lazily, yielding per-job outcome events in
         submission order as workers finish (the streaming face of
         :meth:`lift_corpus`; same options)."""
         from repro.parallel import lift_corpus_stream
 
         self._require_stepper()
-        return lift_corpus_stream(
-            (self.rules, self.stepper),
-            corpus,
-            jobs=jobs,
-            payload=payload,
-            pretty=pretty,
-            collect_metrics=collect_metrics,
-            collect_spans=collect_spans,
-            mp_context=mp_context,
-            window=window,
-            cache_dir=cache_dir,
-            chunk=chunk,
-        )
+        return lift_corpus_stream((self.rules, self.stepper), corpus, **options)
 
     def _scoped_stream(
         self, stream: Iterator["LiftEvent"]

@@ -157,70 +157,34 @@ class LiftResult:
         return 1.0 - self.skipped_count / len(self.steps)
 
 
+def _batch(mode: str, fold, events):
+    """Fold a lift's events eagerly, inside a ``lift.batch`` span."""
+    if _obs.enabled:
+        with _obs_span("lift.batch", mode=mode):
+            return fold(events)
+    return fold(events)
+
+
 def lift_evaluation(
-    rules,
-    stepper: "Stepper",
-    surface_term: Pattern,
-    max_steps: int = 100_000,
-    dedup: bool = True,
-    check_emulation: bool = True,
-    incremental: bool = True,
-    max_seconds: Optional[float] = None,
-    on_budget: str = "raise",
-    stepper_mode: Optional[str] = None,
-    cache=None,
+    rules, stepper: "Stepper", surface_term: Pattern, **options
 ) -> LiftResult:
     """Compute the surface evaluation sequence of ``surface_term``.
 
     The term is desugared once, loaded into the stepper, and stepped to
     completion; each core term is resugared and emitted when it has a
-    surface representation.  ``dedup`` drops a surface term identical to
-    the previously emitted one (consecutive core steps can differ only in
-    machine state invisible at the surface).  ``check_emulation``
-    verifies, for every emitted term, that it desugars back into the core
-    term it represents, raising :class:`EmulationViolation` otherwise.
-
-    ``incremental`` (the default) resugars through a per-run
-    :class:`~repro.core.incremental.ResugarCache`, so each step costs
-    work proportional to the spine the stepper rewrote rather than the
-    whole term; the emitted sequence is identical to the naive path.
-
-    ``max_steps`` and ``max_seconds`` budget the lift; ``on_budget``
-    decides whether exhaustion raises :class:`ReproError` (``"raise"``,
-    the default) or returns a well-formed partial result with
-    ``truncated=True`` (``"truncate"``).
-
-    ``stepper_mode`` (``"refocus"``/``"naive"``/``None``) selects the
-    decomposition engine on mode-aware steppers such as
-    :class:`~repro.redex.reduction.RedexStepper`; the lifted result is
-    byte-identical either way.
-
-    ``cache`` attaches a persistent :class:`repro.cache.LiftCache`: a
-    repeated (program, rules, config) request folds the recorded event
-    stream instead of re-stepping (see :mod:`repro.engine.stream`).
-
-    This is an eager fold over :func:`repro.engine.stream.lift_stream`;
-    use the stream directly to consume steps as they are produced.
+    surface representation.  ``options`` are those of
+    :func:`repro.engine.stream.lift_stream`: the
+    :class:`~repro.engine.config.LiftConfig` fields (or a ``config``)
+    plus a persistent ``cache``.  This is an eager fold over that
+    stream; use the stream directly to consume steps as they are
+    produced.
     """
     from repro.engine.stream import fold_lift, lift_stream
 
-    events = lift_stream(
-        rules,
-        stepper,
-        surface_term,
-        max_steps=max_steps,
-        max_seconds=max_seconds,
-        on_budget=on_budget,
-        dedup=dedup,
-        check_emulation=check_emulation,
-        incremental=incremental,
-        stepper_mode=stepper_mode,
-        cache=cache,
+    return _batch(
+        "sequence", fold_lift,
+        lift_stream(rules, stepper, surface_term, **options),
     )
-    if _obs.enabled:
-        with _obs_span("lift.batch", mode="sequence"):
-            return fold_lift(events)
-    return fold_lift(events)
 
 
 @dataclass
@@ -308,16 +272,7 @@ class SurfaceTree:
 
 
 def lift_evaluation_tree(
-    rules,
-    stepper: "Stepper",
-    surface_term: Pattern,
-    max_nodes: int = 100_000,
-    check_emulation: bool = True,
-    incremental: bool = True,
-    max_seconds: Optional[float] = None,
-    on_budget: str = "raise",
-    stepper_mode: Optional[str] = None,
-    cache=None,
+    rules, stepper: "Stepper", surface_term: Pattern, **options
 ) -> SurfaceTree:
     """Lift a nondeterministic evaluation into a surface tree
     (section 5.3's breadth-first exploration with bookkeeping).
@@ -325,31 +280,13 @@ def lift_evaluation_tree(
     Core states are explored breadth-first from ``desugar(surface_term)``;
     each resugarable state becomes a surface node, attached to its nearest
     resugarable ancestor.  States whose core terms coincide are *not*
-    merged: the paper lifts a tree, not a graph.  ``incremental`` shares
-    resugaring work across branches through a per-run
-    :class:`~repro.core.incremental.ResugarCache` — sibling states share
-    almost their entire term.
-
-    ``max_nodes``/``max_seconds``/``on_budget`` budget the exploration
-    exactly as on :func:`lift_evaluation`, and ``cache`` attaches a
-    persistent lift cache exactly as there.  This is an eager fold over
-    :func:`repro.engine.stream.lift_tree_stream`.
+    merged: the paper lifts a tree, not a graph.  ``options`` are those
+    of :func:`repro.engine.stream.lift_tree_stream`, of which this is an
+    eager fold.
     """
     from repro.engine.stream import fold_tree, lift_tree_stream
 
-    events = lift_tree_stream(
-        rules,
-        stepper,
-        surface_term,
-        max_nodes=max_nodes,
-        max_seconds=max_seconds,
-        on_budget=on_budget,
-        check_emulation=check_emulation,
-        incremental=incremental,
-        stepper_mode=stepper_mode,
-        cache=cache,
+    return _batch(
+        "tree", fold_tree,
+        lift_tree_stream(rules, stepper, surface_term, **options),
     )
-    if _obs.enabled:
-        with _obs_span("lift.batch", mode="tree"):
-            return fold_tree(events)
-    return fold_tree(events)

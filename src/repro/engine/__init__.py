@@ -7,10 +7,13 @@ way:
 * :mod:`repro.engine.events` — the typed event vocabulary a lift
   produces (``CoreStepped``, ``SurfaceEmitted``, ``StepSkipped``,
   ``Deduped``, ``Halted``, ``BudgetExhausted``);
-* :mod:`repro.engine.stream` — ``lift_stream`` / ``lift_tree_stream``
-  generators that yield those events lazily under step-count and
-  wall-clock budgets, plus the folds that reconstruct the batch
-  ``LiftResult`` / ``SurfaceTree`` values from an event stream;
+* :mod:`repro.engine.config` — ``LiftConfig``, every lift option in
+  one frozen, validated record;
+* :mod:`repro.engine.stream` — ``lift_events`` (and its keyword
+  wrappers ``lift_stream`` / ``lift_tree_stream``), the one lifting
+  loop, yielding those events lazily under step-count and wall-clock
+  budgets, plus the folds that reconstruct the batch ``LiftResult`` /
+  ``SurfaceTree`` values from an event stream;
 * :mod:`repro.engine.registry` — first-class language backends
   (parser + pretty-printer + stepper factory + sugar factories) with
   ``register_backend`` / ``get_backend``; the bundled ``lambda`` and
@@ -21,6 +24,7 @@ The batch entry points (:func:`repro.core.lift.lift_evaluation`,
 these streams, so the two paths cannot drift apart.
 """
 
+from repro.engine.config import LiftConfig
 from repro.engine.events import (
     BudgetExhausted,
     CoreStepped,
@@ -41,6 +45,7 @@ from repro.engine.registry import (
 from repro.engine.stream import (
     fold_lift,
     fold_tree,
+    lift_events,
     lift_stream,
     lift_tree_stream,
 )
@@ -53,6 +58,8 @@ __all__ = [
     "Deduped",
     "Halted",
     "BudgetExhausted",
+    "LiftConfig",
+    "lift_events",
     "lift_stream",
     "lift_tree_stream",
     "fold_lift",

@@ -1,48 +1,40 @@
-"""Streaming lift generators and the folds back to batch results.
+"""The lifting loop as a lazy event generator, and the folds back to
+batch results.
 
-:func:`lift_stream` is the paper's lifting loop (section 5.3) as a lazy
-generator: desugar once, then *emit a surface term, step the core,
-repeat* — yielding a typed :mod:`~repro.engine.events` event at every
-juncture instead of materializing a :class:`~repro.core.lift.LiftResult`
-up front.  Consumers see the first surface step as soon as it exists,
-hold at most one event at a time, and can stop early by abandoning the
-generator.  :func:`lift_tree_stream` does the same for nondeterministic
-evaluation trees (breadth-first).
+:func:`lift_events` is the paper's lifting loop (section 5.3): desugar
+once, then *emit a surface term, step the core, repeat* — yielding a
+typed :mod:`~repro.engine.events` event at every juncture instead of
+materializing a :class:`~repro.core.lift.LiftResult` up front.
+Consumers see the first surface step as soon as it exists, hold at most
+one event at a time, and can stop early by abandoning the generator.
 
-Both generators take budgets:
+There is one loop for both lift modes of
+:class:`~repro.engine.config.LiftConfig` (which documents every
+option).  A sequence lift is a tree lift whose frontier never holds
+more than one state; the mode only decides the small parts: node ids
+and parents (trees), consecutive-surface dedup and the
+"nondeterministic step" error (sequences), and whether the budget
+counts ``"steps"`` or ``"nodes"``.  :func:`lift_stream` and
+:func:`lift_tree_stream` are keyword wrappers that build the config.
 
-* ``max_steps`` / ``max_nodes`` — a step-count budget (how much core
-  evaluation to explore);
-* ``max_seconds`` — a wall-clock budget measured from the first event;
+A persistent ``cache`` (:class:`repro.cache.LiftCache`) keys a lift on
+the config's key fields, never on its budgets: only complete
+(``Halted``) streams are recorded, and a hit replays the recording
+through the cold loop's own budget gate, so it cuts where and as a cold
+run would.  The wall clock runs against the replay: ``max_seconds=0``
+cuts at index 0, a positive one gets the complete recording.  A hit
+never desugars, steps or resugars.  Incremental cold runs also hydrate
+their :class:`~repro.core.incremental.ResugarCache` from the memo tier
+and persist it back before the terminal event.  Lifts through an
+unidentifiable stepper run as if no cache were attached.
 
-and an ``on_budget`` policy deciding what exhaustion means:
-
-* ``"raise"`` (default) — raise :class:`~repro.core.errors.ReproError`,
-  the historical batch behaviour;
-* ``"truncate"`` — yield a terminal
-  :class:`~repro.engine.events.BudgetExhausted` event and stop; every
-  event already yielded is a valid prefix of the full lift.
-
-Both generators also accept a persistent ``cache``
-(:class:`repro.cache.LiftCache`).  Budgets are not cache-key material:
-only complete (``Halted``) streams are recorded, and a hit replays the
-recording through the cold loop's own budget gate, so it cuts where and
-as a cold run would.  The wall clock runs against the replay:
-``max_seconds=0`` cuts at index 0, a positive one gets the complete
-recording.  A hit never desugars, steps or resugars.  Incremental cold
-runs also hydrate their :class:`~repro.core.incremental.ResugarCache`
-from the memo tier and persist it back before the terminal event.
-Lifts through an unidentifiable stepper run as if no cache were attached.
-
-Both also take a *cooperative cancellation hook*: ``should_stop``, a
-zero-argument callable polled once per core step.  When it returns
-true the generator returns immediately — no terminal event, no more
-stepping.  This exists for consumers that drive the generator from
-another thread (the session server bridges :func:`lift_stream` over an
-executor): the owning thread cannot ``close()`` a generator that a
-worker thread is iterating, but it *can* flip a flag the hook reads, and
-the abandoned lift then stops stepping promptly instead of running its
-evaluation to completion for nobody.
+``should_stop`` is a *cooperative cancellation hook*: a zero-argument
+callable polled once per core step.  When it returns true the generator
+returns immediately — no terminal event, no more stepping.  This exists
+for consumers that drive the generator from another thread (the session
+server bridges a lift over an executor): the owning thread cannot
+``close()`` a generator that a worker thread is iterating, but it *can*
+flip a flag the hook reads.
 
 :func:`fold_lift` and :func:`fold_tree` replay an event stream into the
 batch :class:`~repro.core.lift.LiftResult` /
@@ -71,6 +63,7 @@ from repro.core.lift import (
 from repro.core.recursion import deep_recursion
 from repro.core.rules import RuleList
 from repro.core.terms import Pattern
+from repro.engine.config import LiftConfig
 from repro.engine.events import (
     BudgetExhausted,
     CoreStepped,
@@ -94,38 +87,12 @@ from repro.obs.metrics import (
 from repro.obs.trace import span as _span
 
 __all__ = [
-    "ON_BUDGET_POLICIES",
+    "lift_events",
     "lift_stream",
     "lift_tree_stream",
     "fold_lift",
     "fold_tree",
 ]
-
-ON_BUDGET_POLICIES = ("raise", "truncate")
-
-
-def _apply_stepper_mode(stepper: "Stepper", stepper_mode: Optional[str]):
-    """Resolve the ``stepper_mode`` flag against a stepper.
-
-    ``None`` keeps the stepper as configured (for a
-    :class:`~repro.redex.reduction.RedexStepper` that means its own
-    default, refocus).  Mode-aware steppers expose ``with_mode``;
-    steppers without it (e.g. plain function steppers) are their own
-    single mode and pass through unchanged.
-    """
-    if stepper_mode is None:
-        return stepper
-    from repro.redex.reduction import STEPPER_MODES
-
-    if stepper_mode not in STEPPER_MODES:
-        raise ValueError(
-            f"stepper_mode must be one of {STEPPER_MODES}, "
-            f"got {stepper_mode!r}"
-        )
-    with_mode = getattr(stepper, "with_mode", None)
-    if with_mode is None:
-        return stepper
-    return with_mode(stepper_mode)
 
 # Classification outcome -> the counter it moves (observability only).
 _OUTCOME_COUNTERS = {
@@ -135,26 +102,19 @@ _OUTCOME_COUNTERS = {
 }
 
 
-def _check_policy(on_budget: str) -> None:
-    if on_budget not in ON_BUDGET_POLICIES:
-        raise ValueError(
-            f"on_budget must be one of {ON_BUDGET_POLICIES}, "
-            f"got {on_budget!r}"
-        )
-
-
 class _Budget:
-    """The one exhaustion gate of the cold loops and of cache replay.
+    """The one exhaustion gate of the cold loop and of cache replay.
     ``kind`` is ``"steps"`` (core indices 0..``limit`` run) or
     ``"nodes"`` (``limit`` nodes explored); the clock starts here."""
 
-    def __init__(self, kind, limit, max_seconds, on_budget):
-        if max_seconds is not None and max_seconds < 0:
-            raise ValueError(f"max_seconds must be >= 0, got {max_seconds!r}")
-        self.kind, self.limit, self.on_budget = kind, limit, on_budget
-        self.stop_at = limit + 1 if kind == "steps" else limit
-        self.max_seconds = max_seconds
-        self.deadline = None if max_seconds is None else monotonic() + max_seconds
+    def __init__(self, config: LiftConfig):
+        self.kind = "nodes" if config.mode == "tree" else "steps"
+        self.limit, self.on_budget = config.max_steps, config.on_budget
+        self.stop_at = self.limit + 1 if self.kind == "steps" else self.limit
+        self.max_seconds = config.max_seconds
+        self.deadline = (
+            None if self.max_seconds is None else monotonic() + self.max_seconds
+        )
 
     def check(self, index, stats, span=None, persist_memo=None):
         """``None`` while core index ``index`` may still run; otherwise
@@ -228,58 +188,83 @@ def lift_stream(
     stepper: "Stepper",
     surface_term: Pattern,
     *,
-    max_steps: int = 100_000,
-    max_seconds: Optional[float] = None,
-    on_budget: str = "raise",
-    dedup: bool = True,
-    check_emulation: bool = True,
-    incremental: bool = True,
-    stepper_mode: Optional[str] = None,
+    config: Optional[LiftConfig] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+    cache=None,
+    **options,
+) -> Iterator[LiftEvent]:
+    """Lazily lift ``surface_term``'s evaluation sequence: per core step
+    a :class:`CoreStepped`, then exactly one of :class:`SurfaceEmitted`
+    / :class:`Deduped` / :class:`StepSkipped`; then :class:`Halted`, or
+    :class:`BudgetExhausted` under ``on_budget="truncate"``.
+
+    ``options`` are :class:`~repro.engine.config.LiftConfig` fields (or
+    pass a sequence ``config``); ``should_stop`` and ``cache`` are as
+    on :func:`lift_events`.
+    """
+    return lift_events(
+        rules, stepper, surface_term, LiftConfig.resolve("sequence", config, options),
+        should_stop=should_stop, cache=cache,
+    )
+
+
+def lift_tree_stream(
+    rules: RuleList,
+    stepper: "Stepper",
+    surface_term: Pattern,
+    *,
+    config: Optional[LiftConfig] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+    cache=None,
+    **options,
+) -> Iterator[LiftEvent]:
+    """Lazily lift a nondeterministic evaluation tree, breadth-first.
+
+    ``core_index`` is the exploration order of the core state, and
+    :class:`SurfaceEmitted` carries ``node_id``/``parent_id`` so
+    :func:`fold_tree` can rebuild the tree from events alone.  Options
+    as on :func:`lift_stream`, for a tree config.
+    """
+    return lift_events(
+        rules, stepper, surface_term, LiftConfig.resolve("tree", config, options),
+        should_stop=should_stop, cache=cache,
+    )
+
+
+def lift_events(
+    rules: RuleList,
+    stepper: "Stepper",
+    surface_term: Pattern,
+    config: LiftConfig = LiftConfig(),
+    *,
     should_stop: Optional[Callable[[], bool]] = None,
     cache=None,
 ) -> Iterator[LiftEvent]:
-    """Lazily lift ``surface_term``'s evaluation, yielding events.
+    """Lazily lift ``surface_term`` under ``config`` (sequence or tree).
 
-    Per core step: a :class:`CoreStepped`, then exactly one of
-    :class:`SurfaceEmitted` / :class:`Deduped` / :class:`StepSkipped`.
-    Terminal event: :class:`Halted`, or :class:`BudgetExhausted` when a
-    budget runs out under ``on_budget="truncate"``.
-
-    ``dedup``, ``check_emulation``, and ``incremental`` mean exactly
-    what they mean on :func:`repro.core.lift.lift_evaluation` — that
-    function *is* :func:`fold_lift` over this generator.
-    ``stepper_mode`` (``"refocus"`` / ``"naive"`` / ``None``) selects
-    the decomposition engine on mode-aware steppers; ``None`` keeps the
-    stepper's own configuration.  ``should_stop`` is the cooperative
-    cancellation hook (see the module docstring): polled before every
-    core step, and a true return ends the stream with no terminal
-    event.  ``cache`` attaches a persistent
-    :class:`repro.cache.LiftCache` (see the module docstring): a
-    whole-lift hit replays the recorded frames up to this call's budget;
-    a cold run that halts records them.
-
-    With observability on (:mod:`repro.obs`), the run is wrapped in a
-    ``lift`` span, every core step gets a ``lift.step`` child span
-    carrying its index and outcome, and the ``lift.steps_*`` counters
-    move per event; disabled, the loop pays one branch per step.
+    ``should_stop`` is the cooperative cancellation hook and ``cache``
+    a persistent :class:`repro.cache.LiftCache` (see the module
+    docstring).  With observability on (:mod:`repro.obs`), the run is
+    wrapped in a ``lift`` span, every core step gets a ``lift.step``
+    child span carrying its index and outcome, and the ``lift.steps_*``
+    counters move per event; disabled, the loop pays one branch per
+    step.
     """
-    _check_policy(on_budget)
-    stepper = _apply_stepper_mode(stepper, stepper_mode)
+    stepper = config.apply_stepper_mode(stepper)
     cache_key = None
     if cache is not None:
         # Keyed after stepper_mode resolution, so an explicit mode and
         # a stepper configured with that same mode share entries.
-        cache_key = cache.lift_key(
-            rules, stepper, surface_term, mode="sequence",
-            dedup=dedup, check_emulation=check_emulation,
-            incremental=incremental,
-        )
+        cache_key = cache.lift_key(rules, stepper, surface_term, config)
         if cache_key is not None:
             recorded = cache.lookup_lift(cache_key)
             if recorded is not None:
-                budget = _Budget("steps", max_steps, max_seconds, on_budget)
-                yield from _replay(recorded, "sequence", should_stop, budget)
+                budget = _Budget(config)
+                yield from _replay(recorded, config.mode, should_stop, budget)
                 return
+    attrs = dict(mode=config.mode, incremental=config.incremental)
+    if config.mode == "sequence":
+        attrs["dedup"] = config.dedup
     # The provenance run scope opens before desugaring so the initial
     # expansions are attributed to this run too.  The run's per-rule
     # totals are attached while the lift span is still open (attrs must
@@ -287,15 +272,11 @@ def lift_stream(
     # desugar-time failure or an abandoned generator.
     run = _prov.begin_run(rules) if _obs.enabled else None
     try:
-        with deep_recursion(), _span(
-            "lift", mode="sequence", incremental=incremental, dedup=dedup
-        ) as lift_span:
+        with deep_recursion(), _span("lift", **attrs) as lift_span:
             try:
-                body = _lift_stream_body(
-                    rules, stepper, surface_term, max_steps, max_seconds,
-                    on_budget, dedup, check_emulation, incremental,
-                    lift_span, should_stop,
-                    cache if incremental else None,
+                body = _drive(
+                    rules, stepper, surface_term, config, lift_span,
+                    should_stop, cache if config.incremental else None,
                 )
                 if cache_key is not None:
                     yield from _recording(body, cache, cache_key)
@@ -309,14 +290,16 @@ def lift_stream(
             _prov.end_run(run)
 
 
-def _lift_stream_body(
-    rules, stepper, surface_term, max_steps, max_seconds,
-    on_budget, dedup, check_emulation, incremental, lift_span,
-    should_stop, lift_cache=None,
+def _drive(
+    rules, stepper, surface_term, config, lift_span, should_stop,
+    lift_cache=None,
 ):
+    """The lifting loop: one frontier of ``(state, parent node id)``
+    pairs, explored breadth-first; a sequence's never exceeds one."""
+    tree = config.mode == "tree"
     core = desugar(rules, surface_term)
-    state = stepper.load(core)
-    cache = ResugarCache(rules) if incremental else None
+    frontier = deque([(stepper.load(core), None)])
+    cache = ResugarCache(rules) if config.incremental else None
     stats = cache.stats if cache else None
     if cache is not None and lift_cache is not None:
         lift_cache.hydrate(cache)
@@ -327,13 +310,32 @@ def _lift_stream_body(
         if cache is not None and lift_cache is not None:
             lift_cache.persist_memo(cache)
 
-    budget = _Budget("steps", max_steps, max_seconds, on_budget)
+    budget = _Budget(config)
+    check_emulation, dedup = config.check_emulation, config.dedup
     last_emitted: Optional[Pattern] = None
-    index = 0
+    next_id = 0
 
-    def classify(term: Pattern):
-        """Resugar one core term and decide its event + outcome."""
+    def emit_step(index, term, surface, parent):
+        """Sequences: drop a surface term equal to the last one shown."""
         nonlocal last_emitted
+        if dedup and surface == last_emitted:
+            return Deduped(index, term, surface), "deduped"
+        last_emitted = surface
+        return SurfaceEmitted(index, term, surface), "emitted"
+
+    def emit_node(index, term, surface, parent):
+        """Trees: number the node and attach it under ``parent``."""
+        nonlocal next_id
+        next_id += 1
+        event = SurfaceEmitted(
+            index, term, surface, node_id=next_id - 1, parent_id=parent
+        )
+        return event, "emitted"
+
+    emit = emit_node if tree else emit_step
+
+    def classify(term: Pattern, index: int, parent):
+        """Resugar one core term and decide its event + outcome."""
         surface = cache.resugar(term) if cache else resugar(rules, term)
         if surface is None:
             return StepSkipped(index, term), "skipped"
@@ -345,17 +347,15 @@ def _lift_stream_body(
             )
             if not faithful:
                 raise EmulationViolation(
-                    f"surface step {surface} does not desugar into "
-                    f"the core term it represents: {term}"
+                    f"surface {'node' if tree else 'step'} {surface} does "
+                    f"not desugar into the core term it represents: {term}"
                 )
-        if dedup and surface == last_emitted:
-            return Deduped(index, term, surface), "deduped"
-        last_emitted = surface
-        return SurfaceEmitted(index, term, surface), "emitted"
+        return emit(index, term, surface, parent)
 
     if _obs.enabled:
         LIFT_RUNS.inc()
-    while True:
+    index = 0
+    while frontier:
         if should_stop is not None and should_stop():
             if lift_span is not None:
                 lift_span.attrs["cancelled"] = True
@@ -365,6 +365,7 @@ def _lift_stream_body(
             yield cut
             return
 
+        state, parent = frontier.popleft()
         term = stepper.term(state)
         yield CoreStepped(index, term)
         if _obs.enabled:
@@ -372,7 +373,7 @@ def _lift_stream_body(
             attempts_before = MATCH_ATTEMPTS.value
             with _span("lift.step", index=index) as step_span:
                 with _prov.step_scope(step_span):
-                    event, outcome = classify(term)
+                    event, outcome = classify(term, index, parent)
                     if outcome == "deduped":
                         _prov.on_dedup()
                 if step_span is not None:
@@ -382,177 +383,25 @@ def _lift_stream_body(
             )
             _OUTCOME_COUNTERS[outcome].inc()
         else:
-            event, _ = classify(term)
+            event, outcome = classify(term, index, parent)
         yield event
 
         successors = stepper.step(state)
-        if not successors:
-            if lift_span is not None:
-                lift_span.attrs["core_steps"] = index + 1
-            persist_memo()
-            yield Halted(index + 1, stats)
-            return
-        if len(successors) > 1:
+        if len(successors) > 1 and not tree:
             raise ReproError(
                 "nondeterministic step during sequence lifting; use "
                 "lift_evaluation_tree for languages with amb"
             )
-        state = successors[0]
-        index += 1
-
-
-def lift_tree_stream(
-    rules: RuleList,
-    stepper: "Stepper",
-    surface_term: Pattern,
-    *,
-    max_nodes: int = 100_000,
-    max_seconds: Optional[float] = None,
-    on_budget: str = "raise",
-    check_emulation: bool = True,
-    incremental: bool = True,
-    stepper_mode: Optional[str] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-    cache=None,
-) -> Iterator[LiftEvent]:
-    """Lazily lift a nondeterministic evaluation tree, breadth-first.
-
-    ``core_index`` on the yielded events is the exploration order of the
-    core state; :class:`SurfaceEmitted` carries ``node_id``/``parent_id``
-    so :func:`fold_tree` can rebuild the
-    :class:`~repro.core.lift.SurfaceTree` from events alone.  The budget
-    is ``max_nodes`` explored core states (terminal event budget kind:
-    ``"nodes"``) plus the optional wall clock.  ``should_stop`` is the
-    cooperative cancellation hook, polled once per explored node.
-    ``cache`` attaches a persistent :class:`repro.cache.LiftCache`,
-    exactly as on :func:`lift_stream` (tree and sequence lifts key into
-    disjoint namespaces via the engine fingerprint's ``mode``).
-    """
-    _check_policy(on_budget)
-    stepper = _apply_stepper_mode(stepper, stepper_mode)
-    cache_key = None
-    if cache is not None:
-        cache_key = cache.lift_key(
-            rules, stepper, surface_term, mode="tree",
-            check_emulation=check_emulation, incremental=incremental,
-        )
-        if cache_key is not None:
-            recorded = cache.lookup_lift(cache_key)
-            if recorded is not None:
-                budget = _Budget("nodes", max_nodes, max_seconds, on_budget)
-                yield from _replay(recorded, "tree", should_stop, budget)
-                return
-    # Same scoping as lift_stream: run provenance opens before
-    # desugaring, rule_stats attach while the lift span is open.
-    run = _prov.begin_run(rules) if _obs.enabled else None
-    try:
-        with deep_recursion(), _span(
-            "lift", mode="tree", incremental=incremental
-        ) as lift_span:
-            try:
-                body = _lift_tree_stream_body(
-                    rules, stepper, surface_term, max_nodes, max_seconds,
-                    on_budget, check_emulation, incremental, lift_span,
-                    should_stop,
-                    cache if incremental else None,
-                )
-                if cache_key is not None:
-                    yield from _recording(body, cache, cache_key)
-                else:
-                    yield from body
-            finally:
-                if run is not None and lift_span is not None:
-                    lift_span.attrs["rule_stats"] = run.rule_stats()
-    finally:
-        if run is not None:
-            _prov.end_run(run)
-
-
-def _lift_tree_stream_body(
-    rules, stepper, surface_term, max_nodes, max_seconds,
-    on_budget, check_emulation, incremental, lift_span,
-    should_stop, lift_cache=None,
-):
-    core = desugar(rules, surface_term)
-    cache = ResugarCache(rules) if incremental else None
-    stats = cache.stats if cache else None
-    if cache is not None and lift_cache is not None:
-        lift_cache.hydrate(cache)
-
-    def persist_memo():
-        # Before the terminal yield, as in _lift_stream_body.
-        if cache is not None and lift_cache is not None:
-            lift_cache.persist_memo(cache)
-
-    budget = _Budget("nodes", max_nodes, max_seconds, on_budget)
-    # Queue holds (state, nearest surface ancestor id or None).
-    queue: deque = deque([(stepper.load(core), None)])
-    next_id = 0
-    explored = 0
-
-    def classify(term, index, parent):
-        """Resugar one explored core state; returns the event to yield,
-        the outcome, and the surface node id successors attach under."""
-        surface = cache.resugar(term) if cache else resugar(rules, term)
-        if surface is None:
-            return StepSkipped(index, term), "skipped", parent
-        if check_emulation:
-            faithful = (
-                cache.emulates(surface, term)
-                if cache
-                else emulates(rules, surface, term)
-            )
-            if not faithful:
-                raise EmulationViolation(
-                    f"surface node {surface} does not desugar into "
-                    f"the core term it represents: {term}"
-                )
-        event = SurfaceEmitted(
-            index, term, surface, node_id=next_id, parent_id=parent
-        )
-        return event, "emitted", next_id
-
-    if _obs.enabled:
-        LIFT_RUNS.inc()
-    while queue:
-        if should_stop is not None and should_stop():
-            if lift_span is not None:
-                lift_span.attrs["cancelled"] = True
-            return
-        cut = budget.check(explored, stats, lift_span, persist_memo)
-        if cut is not None:
-            yield cut
-            return
-
-        state, parent = queue.popleft()
-        index = explored
-        explored += 1
-        term = stepper.term(state)
-        yield CoreStepped(index, term)
-        if _obs.enabled:
-            LIFT_STEPS_TOTAL.inc()
-            attempts_before = MATCH_ATTEMPTS.value
-            with _span("lift.step", index=index) as step_span:
-                with _prov.step_scope(step_span):
-                    event, outcome, parent = classify(term, index, parent)
-                if step_span is not None:
-                    step_span.attrs["outcome"] = outcome
-            MATCH_ATTEMPTS_PER_STEP.observe(
-                MATCH_ATTEMPTS.value - attempts_before
-            )
-            _OUTCOME_COUNTERS[outcome].inc()
-        else:
-            event, outcome, parent = classify(term, index, parent)
         if outcome == "emitted":
-            next_id += 1
-        yield event
-
-        for successor in stepper.step(state):
-            queue.append((successor, parent))
+            # Successors attach under this node (None in sequences).
+            parent = event.node_id
+        for successor in successors:
+            frontier.append((successor, parent))
+        index += 1
     if lift_span is not None:
-        lift_span.attrs["core_nodes"] = explored
+        lift_span.attrs["core_nodes" if tree else "core_steps"] = index
     persist_memo()
-    yield Halted(explored, stats)
+    yield Halted(index, stats)
 
 
 def fold_lift(events: Iterable[LiftEvent]) -> LiftResult:

@@ -1,9 +1,9 @@
 """Job descriptions for batch lifting.
 
-A :class:`LiftJob` is one program plus the lift options it should run
-under — the same options :meth:`repro.confection.Confection.lift`
-takes, frozen into a picklable record so the job can cross a process
-boundary.  :func:`as_job` coerces the convenient forms a caller hands
+A :class:`LiftJob` is one program plus the
+:class:`~repro.engine.config.LiftConfig` it should run under, frozen
+into a picklable record so the job can cross a process boundary.
+:func:`as_job` coerces the convenient forms a caller hands
 :func:`repro.parallel.lift_corpus` (a bare term, DSL source text, or an
 already-built job) into one.
 
@@ -14,50 +14,43 @@ The outcome vocabulary lives with the other lift events in
 the outcome events the same way in both directions: per-job metrics
 snapshots (``collect_metrics=True``) and per-job span trees with the
 batch's trace context (``collect_spans=True``) — the job record itself
-stays small and option-only.
+stays small: a program and a config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.core.terms import Pattern
+from repro.engine.config import LiftConfig
 
 __all__ = ["LiftJob", "as_job"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LiftJob:
-    """One (program, options) unit of a batch lift.
+    """One (program, config) unit of a batch lift.
 
     ``program`` is a surface term (or rule-DSL source text, parsed by
     the engine exactly as :meth:`~repro.confection.Confection.lift`
     would).  ``name`` is a caller-chosen label carried through to CLI
-    output and error reports; it never affects the lift.  The remaining
-    fields mirror :meth:`Confection.lift
-    <repro.confection.Confection.lift>` keyword for keyword.
+    output and error reports; it never affects the lift.  ``config`` is
+    the job's sequence :class:`~repro.engine.config.LiftConfig`, given
+    whole or built from its keyword fields (``LiftJob(term,
+    max_steps=5)``).
     """
 
     program: Union[Pattern, str]
-    name: Optional[str] = None
-    max_steps: int = 100_000
-    max_seconds: Optional[float] = None
-    on_budget: str = "raise"
-    dedup: bool = True
-    check_emulation: bool = True
-    incremental: bool = True
+    name: Optional[str]
+    config: LiftConfig
 
-    def lift_kwargs(self) -> Dict[str, object]:
-        """The keyword arguments this job passes to ``Confection.lift``."""
-        return {
-            "max_steps": self.max_steps,
-            "max_seconds": self.max_seconds,
-            "on_budget": self.on_budget,
-            "dedup": self.dedup,
-            "check_emulation": self.check_emulation,
-            "incremental": self.incremental,
-        }
+    def __init__(self, program, name=None, config=None, **options):
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(
+            self, "config", LiftConfig.resolve("sequence", config, options)
+        )
 
 
 def as_job(obj: Union[LiftJob, Pattern, str], **defaults) -> LiftJob:

@@ -23,7 +23,7 @@ historical behaviour).  Jobs
 cross the boundary as small pickled :class:`LiftJob` records, and
 each job runs the ordinary :meth:`Confection.lift
 <repro.confection.Confection.lift>` (that is, the streaming engine's
-:func:`~repro.engine.stream.lift_stream` with the job's budgets).  The
+:func:`~repro.engine.stream.lift_stream` under the job's config).  The
 per-run :class:`~repro.core.incremental.ResugarCache` is created fresh
 per job, exactly as the sequential path does, so per-job results —
 surface sequences, step bookkeeping, and cache statistics — are
@@ -233,13 +233,13 @@ def _execute_job(
             obs = Observability(sinks=sinks, reset_metrics=collect_metrics)
             try:
                 with obs:
-                    result = engine.lift(job.program, **job.lift_kwargs())
+                    result = engine.lift(job.program, config=job.config)
             finally:
                 if collect_spans:
                     set_trace_context(previous_context)
             metrics = obs.snapshot() if collect_metrics else None
         else:
-            result = engine.lift(job.program, **job.lift_kwargs())
+            result = engine.lift(job.program, config=job.config)
             metrics = None
         rendered = None
         if payload in ("rendered", "both"):
@@ -691,37 +691,10 @@ def lift_corpus_stream(
         owned.shutdown(wait=True, cancel_pending=True)
 
 
-def lift_corpus(
-    engine,
-    corpus: Sequence,
-    *,
-    jobs: Optional[int] = None,
-    payload: str = "result",
-    pretty: Optional[Callable] = None,
-    collect_metrics: bool = False,
-    collect_spans: bool = False,
-    mp_context: Optional[str] = None,
-    window: Optional[int] = None,
-    cache_dir=None,
-    chunk: Optional[int] = None,
-) -> List[BatchOutcome]:
+def lift_corpus(engine, corpus: Sequence, **options) -> List[BatchOutcome]:
     """Eagerly lift ``corpus`` and return outcomes in submission order
     (the list form of :func:`lift_corpus_stream`; same options)."""
-    return list(
-        lift_corpus_stream(
-            engine,
-            corpus,
-            jobs=jobs,
-            payload=payload,
-            pretty=pretty,
-            collect_metrics=collect_metrics,
-            collect_spans=collect_spans,
-            mp_context=mp_context,
-            window=window,
-            cache_dir=cache_dir,
-            chunk=chunk,
-        )
-    )
+    return list(lift_corpus_stream(engine, corpus, **options))
 
 
 def aggregate_metrics(outcomes) -> dict:

@@ -7,7 +7,7 @@ session across the two worlds that must not block each other:
 
 * **Event loop** — accepts connections, parses requests, writes frames.
   Never steps a program and never renders a term.
-* **Executor threads** — iterate ``lift_stream`` (or a
+* **Executor threads** — iterate ``lift_events`` (or a
   :class:`~repro.parallel.WarmPool` batch) and render frames, pushing
   them through the session's bounded queue
   (:mod:`repro.server.sessions`).  One thread per live session; a
@@ -551,15 +551,8 @@ class ReproServer:
         def produce() -> None:
             try:
                 program = backend.parse(lift_request.program)
-                make_stream = (
-                    confection.lift_tree_stream
-                    if lift_request.tree
-                    else confection.lift_stream
-                )
-                stream = make_stream(
-                    program,
-                    should_stop=session.cancelled,
-                    **lift_request.lift_kwargs(),
+                stream = confection.lift_events(
+                    program, lift_request.config, should_stop=session.cancelled
                 )
                 for event in stream:
                     for frame in builder.frames_for(event):
@@ -627,9 +620,7 @@ class ReproServer:
                     LiftJob(
                         backend.parse(program),
                         name=f"programs[{index}]",
-                        max_steps=batch_request.max_steps,
-                        max_seconds=batch_request.max_seconds,
-                        on_budget=batch_request.on_budget,
+                        config=batch_request.config,
                     )
                     for index, program in enumerate(batch_request.programs)
                 ]

@@ -58,11 +58,12 @@ deterministic submission order: ``{"type": "job", "index": i, "steps":
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.engine import events
-from repro.engine.stream import ON_BUDGET_POLICIES
+from repro.engine.config import ON_BUDGET_POLICIES, LiftConfig
 from repro.redex.reduction import STEPPER_MODES
 
 __all__ = [
@@ -113,21 +114,17 @@ class ServerLimits:
         return min(float(requested), self.max_seconds_cap)
 
 
-@dataclass(frozen=True)
-class LiftRequest:
-    """One validated, budget-clamped lift session request."""
+@dataclass(frozen=True, kw_only=True)
+class _Request:
+    """The engine fields every request shares, plus its validated,
+    budget-clamped :class:`~repro.engine.config.LiftConfig` (the wire's
+    ``tree``, ``stepper`` and budget fields)."""
 
-    program: str
     lang: str = "lambda"
     sugar: Optional[str] = None
     transparent: bool = False
     op: str = "naive"
-    stepper: str = "refocus"
-    tree: bool = False
-    max_steps: int = 100_000
-    max_seconds: Optional[float] = None
-    on_budget: str = "truncate"
-    events: str = "surface"
+    config: LiftConfig
 
     @property
     def engine_key(self) -> tuple:
@@ -140,43 +137,21 @@ class LiftRequest:
             "op_desugaring": self.op,
         }
 
-    def lift_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``Confection.lift_stream`` /
-        ``lift_tree_stream`` (budget names differ between the two)."""
-        kwargs: Dict[str, Any] = dict(
-            max_seconds=self.max_seconds,
-            on_budget=self.on_budget,
-            stepper_mode=self.stepper,
-        )
-        if self.tree:
-            kwargs["max_nodes"] = self.max_steps
-        else:
-            kwargs["max_steps"] = self.max_steps
-        return kwargs
+
+@dataclass(frozen=True, kw_only=True)
+class LiftRequest(_Request):
+    """One validated ``/lift`` session request."""
+
+    program: str
+    events: str = "surface"
 
 
-@dataclass(frozen=True)
-class BatchRequest:
-    """One validated ``/lift-batch`` request: N programs, one engine."""
+@dataclass(frozen=True, kw_only=True)
+class BatchRequest(_Request):
+    """One validated ``/lift-batch`` request: N programs, one engine,
+    one sequence config."""
 
     programs: tuple
-    lang: str = "lambda"
-    sugar: Optional[str] = None
-    transparent: bool = False
-    op: str = "naive"
-    max_steps: int = 100_000
-    max_seconds: Optional[float] = None
-    on_budget: str = "truncate"
-
-    @property
-    def engine_key(self) -> tuple:
-        return (self.lang, self.sugar, self.transparent, self.op)
-
-    def backend_options(self) -> Dict[str, Any]:
-        return {
-            "transparent_recursion": self.transparent,
-            "op_desugaring": self.op,
-        }
 
 
 def _require(payload: Mapping, key: str, kind, what: str):
@@ -202,23 +177,36 @@ def _flag(payload: Mapping, key: str) -> bool:
     return value
 
 
-def _budget_fields(payload: Mapping, limits: ServerLimits) -> Dict[str, Any]:
-    max_steps = payload.get("max_steps")
-    if max_steps is not None and (
-        not isinstance(max_steps, int) or max_steps < 1
+def _number(payload: Mapping, key: str, kind, what: str):
+    """An optional positive budget: JSON booleans and non-finite
+    numbers (``NaN``/``Infinity``, which ``json.loads`` accepts) are
+    malformed, not budgets."""
+    value = payload.get(key)
+    if value is not None and (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or not 0 < value < math.inf
     ):
-        raise ProtocolError("'max_steps' must be a positive integer")
-    max_seconds = payload.get("max_seconds")
-    if max_seconds is not None and (
-        not isinstance(max_seconds, (int, float)) or max_seconds <= 0
-    ):
-        raise ProtocolError("'max_seconds' must be a positive number")
-    return dict(
+        raise ProtocolError(f"{key!r} must be {what}")
+    return value
+
+
+def _config(
+    payload: Mapping, limits: ServerLimits, **fields
+) -> LiftConfig:
+    """The request's budget-clamped config (``fields`` are the
+    endpoint's own config fields)."""
+    max_steps = _number(payload, "max_steps", int, "a positive integer")
+    max_seconds = _number(
+        payload, "max_seconds", (int, float), "a positive finite number"
+    )
+    return LiftConfig(
         max_steps=limits.clamp_steps(max_steps),
         max_seconds=limits.clamp_seconds(max_seconds),
         on_budget=_choice(
             payload, "on_budget", ON_BUDGET_POLICIES, "truncate"
         ),
+        **fields,
     )
 
 
@@ -256,10 +244,15 @@ def parse_lift_request(
         sugar=_sugar(payload),
         transparent=_flag(payload, "transparent"),
         op=_choice(payload, "op", ("naive", "object"), "naive"),
-        stepper=_choice(payload, "stepper", STEPPER_MODES, "refocus"),
-        tree=_flag(payload, "tree"),
         events=_choice(payload, "events", EVENT_MODES, "surface"),
-        **_budget_fields(payload, limits),
+        config=_config(
+            payload,
+            limits,
+            mode="tree" if _flag(payload, "tree") else "sequence",
+            stepper_mode=_choice(
+                payload, "stepper", STEPPER_MODES, "refocus"
+            ),
+        ),
     )
 
 
@@ -283,7 +276,7 @@ def parse_batch_request(
         sugar=_sugar(payload),
         transparent=_flag(payload, "transparent"),
         op=_choice(payload, "op", ("naive", "object"), "naive"),
-        **_budget_fields(payload, limits),
+        config=_config(payload, limits),
     )
 
 

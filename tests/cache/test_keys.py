@@ -10,11 +10,13 @@ about its keys, each pinned here with Hypothesis:
   adversarial edits of the fuzzer's perturbation operators, which are
   exactly the "subtly wrong ruleset" an attacker of the cache would
   construct;
-* the engine-config fingerprint separates every (stepper mode,
-  resugaring mode) combination, so a recorded stream can never be
-  replayed under options it was not produced with — while budgets and
-  ``on_budget`` never reach the key, since every budgeted lift is a
-  prefix of the one complete recording.
+* the engine-config fingerprint separates every
+  :class:`~repro.engine.config.LiftConfig` key field and stepper mode,
+  so a recorded stream can never be replayed under options it was not
+  produced with — while budgets and ``on_budget`` never reach the key,
+  since every budgeted lift is a prefix of the one complete recording;
+* the key bytes themselves are pinned, so existing on-disk caches keep
+  hitting.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cache import (
+    KEY_SCHEMA,
     engine_fingerprint,
     lift_key,
     ruleset_fingerprint,
@@ -37,6 +40,7 @@ from repro.core.lift import FunctionStepper
 from repro.core.rules import Rule, RuleList
 from repro.core.terms import BodyTag, Const, HeadTag, Node, PList, Tagged
 from repro.core.wellformed import DisjointnessMode, WellFormednessError
+from repro.engine.config import LiftConfig
 from repro.engine.registry import get_backend
 from repro.synth.antiunify import Candidate
 from repro.synth.fuzz import PERTURBATIONS
@@ -184,23 +188,76 @@ def test_ruleset_fingerprint_moves_under_perturbed_rules(reference_rules):
 # Engine-config fingerprints and full lift keys
 
 
+# One non-default value per LiftConfig key field.
+NON_DEFAULT_KEY_VALUES = {
+    "mode": "tree",
+    "dedup": False,
+    "check_emulation": False,
+    "incremental": False,
+}
+
+
 def test_engine_fingerprint_separates_every_config_axis():
+    """The grid is LiftConfig's own key fields: a new key field without
+    an entry in NON_DEFAULT_KEY_VALUES fails here, and every entry must
+    move the fingerprint (as must the stepper's mode)."""
+    assert set(LiftConfig.key_fields()) == set(NON_DEFAULT_KEY_VALUES)
     stepper = get_backend("lambda").make_stepper()
-    grid = [
-        dict(mode="sequence", dedup=True, check_emulation=True,
-             incremental=True),
-        dict(mode="sequence", dedup=False, check_emulation=True,
-             incremental=True),
-        dict(mode="sequence", dedup=True, check_emulation=False,
-             incremental=True),
-        dict(mode="sequence", dedup=True, check_emulation=True,
-             incremental=False),
-        dict(mode="tree", dedup=True, check_emulation=True,
-             incremental=True),
+    configs = [LiftConfig()] + [
+        LiftConfig(**{name: value})
+        for name, value in NON_DEFAULT_KEY_VALUES.items()
     ]
-    fps = [engine_fingerprint(stepper, **cfg) for cfg in grid]
-    fps.append(engine_fingerprint(stepper.with_mode("naive"), **grid[0]))
+    fps = [engine_fingerprint(stepper, config) for config in configs]
+    fps.append(engine_fingerprint(stepper.with_mode("naive"), LiftConfig()))
     assert len(set(fps)) == len(fps)
+
+
+# Whole-lift keys of ``(or (not #t) (not #f))`` under the bundled lambda
+# rules, computed with key schema 2 before the keys were derived from
+# LiftConfig.  They are what on-disk caches hold: if one moves, every
+# existing cache entry for that configuration goes cold.
+PINNED_LIFT_KEYS = [
+    ("3ebb977da3e4e161a082f4638a7b9c0e", "sequence", {}),
+    ("84b9ec285fb05d618fb19a8338eacb6d", "sequence",
+     dict(stepper_mode="naive")),
+    ("f471f358f9e4737239bf638f8bfb3c3f", "tree", {}),
+    ("9bdfffe60de5e43f2d1ea0a85dca5c5f", "tree", dict(stepper_mode="naive")),
+    ("41d71c0ed0eace975894e20fbf55ae0c", "sequence", dict(dedup=False)),
+    ("6e7dbd4b255a2b5f3081c511dc691d5e", "sequence",
+     dict(check_emulation=False)),
+    ("d335ed7cd320470769d49fc60eebcfd5", "sequence",
+     dict(incremental=False)),
+    ("be1f50ccedcc93a13c3ddd0072adfbb6", "tree",
+     dict(check_emulation=False)),
+    ("1bab8f7ee263bd54fdc48391cbbad9eb", "tree", dict(incremental=False)),
+]
+
+
+@pytest.mark.parametrize(
+    "pinned,mode,options", PINNED_LIFT_KEYS,
+    ids=[f"{mode}-{pinned[:8]}" for pinned, mode, _ in PINNED_LIFT_KEYS],
+)
+def test_lift_keys_are_byte_stable(reference_rules, tmp_path, pinned, mode,
+                                   options):
+    """The key bytes are pinned twice: the module function, and the key
+    a real lift stores its recording under."""
+    from repro.cache import LiftCache
+    from repro.confection import Confection
+
+    backend = get_backend("lambda")
+    term = backend.parse("(or (not #t) (not #f))")
+    config = LiftConfig(mode=mode, **options)
+    stepper = config.apply_stepper_mode(backend.make_stepper())
+    assert lift_key(reference_rules, stepper, term, config) == pinned
+    lift_cache = LiftCache(tmp_path)
+    engine = Confection(reference_rules, backend.make_stepper(),
+                        cache=lift_cache)
+    list(engine.lift_events(term, config))
+    assert lift_cache.lookup_lift(pinned) is not None
+
+
+def test_key_schema_is_unchanged():
+    assert KEY_SCHEMA == b"repro-cache-key/2"
 
 
 @pytest.mark.parametrize("mode", ["sequence", "tree"])
@@ -213,13 +270,14 @@ def test_budgets_leave_the_lift_key_unchanged(reference_rules, tmp_path, mode):
 
     stepper = get_backend("lambda").make_stepper()
     config = dict(mode=mode, check_emulation=True, incremental=True)
+    budget_name = "max_nodes" if mode == "tree" else "max_steps"
     budgets = [
         {},
         dict(on_budget="raise", max_steps=100),
         dict(on_budget="truncate", max_steps=101),
-        dict(on_budget="truncate", max_nodes=0),
+        {"on_budget": "truncate", budget_name: 0},
         dict(max_steps=0, max_seconds=0.0),
-        dict(on_budget="raise", max_nodes=7, max_seconds=30.0),
+        {"on_budget": "raise", budget_name: 7, "max_seconds": 30.0},
     ]
     lift_cache = LiftCache(tmp_path)
     keys = {
@@ -227,7 +285,9 @@ def test_budgets_leave_the_lift_key_unchanged(reference_rules, tmp_path, mode):
                             **budget)
         for budget in budgets
     }
-    assert keys == {lift_key(reference_rules, stepper, Const(1), **config)}
+    assert keys == {
+        lift_key(reference_rules, stepper, Const(1), LiftConfig(**config))
+    }
     assert None not in keys
 
 
@@ -247,28 +307,11 @@ def test_stepper_fingerprint_separates_backends():
 def test_unidentifiable_stepper_is_uncacheable(reference_rules):
     opaque = FunctionStepper(lambda t: None)
     assert stepper_fingerprint(opaque) is None
-    assert (
-        lift_key(
-            reference_rules,
-            opaque,
-            Const(1),
-            mode="sequence",
-            dedup=True,
-            check_emulation=True,
-            incremental=True,
-        )
-        is None
-    )
+    assert lift_key(reference_rules, opaque, Const(1), LiftConfig()) is None
 
 
 def test_lift_key_depends_on_program(reference_rules):
     stepper = get_backend("lambda").make_stepper()
-    kwargs = dict(
-        mode="sequence",
-        dedup=True,
-        check_emulation=True,
-        incremental=True,
-    )
-    k1 = lift_key(reference_rules, stepper, Const(1), **kwargs)
-    k2 = lift_key(reference_rules, stepper, Const(2), **kwargs)
+    k1 = lift_key(reference_rules, stepper, Const(1), LiftConfig())
+    k2 = lift_key(reference_rules, stepper, Const(2), LiftConfig())
     assert k1 is not None and k2 is not None and k1 != k2

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.engine import events
+from repro.engine.config import LiftConfig
 from repro.engine.registry import available_backends
 from repro.server.http import parse_chunked
 from repro.server.protocol import (
@@ -33,36 +34,40 @@ class TestLiftRequest:
         req = parse({"program": "(or #t #f)"})
         assert req.lang == "lambda"
         assert req.sugar is None
-        assert req.stepper == "refocus"
-        assert req.tree is False
-        assert req.on_budget == "truncate"
+        assert req.config.stepper_mode == "refocus"
+        assert req.config.mode == "sequence"
+        assert req.config.on_budget == "truncate"
         assert req.events == "surface"
 
     def test_budgets_clamped_to_server_caps(self):
         req = parse({"program": "x", "max_steps": 10**9, "max_seconds": 600})
-        assert req.max_steps == 1000
-        assert req.max_seconds == 10.0
+        assert req.config.max_steps == 1000
+        assert req.config.max_seconds == 10.0
 
     def test_wall_clock_cap_applies_when_unrequested(self):
         # The isolation boundary: no request can opt out of the
         # server's wall-clock cap by simply not asking for a budget.
         req = parse({"program": "x"})
-        assert req.max_seconds == 10.0
+        assert req.config.max_seconds == 10.0
         req = parse(
             {"program": "x"}, ServerLimits(max_seconds_cap=None)
         )
-        assert req.max_seconds is None
+        assert req.config.max_seconds is None
 
     def test_under_cap_budgets_pass_through(self):
         req = parse({"program": "x", "max_steps": 7, "max_seconds": 0.5})
-        assert req.max_steps == 7
-        assert req.max_seconds == 0.5
+        assert req.config.max_steps == 7
+        assert req.config.max_seconds == 0.5
 
-    def test_lift_kwargs_switch_budget_name_for_trees(self):
-        assert parse({"program": "x"}).lift_kwargs()["max_steps"] == 1000
-        tree_kwargs = parse({"program": "x", "tree": True}).lift_kwargs()
-        assert tree_kwargs["max_nodes"] == 1000
-        assert "max_steps" not in tree_kwargs
+    def test_tree_request_builds_a_tree_config_with_the_clamped_budget(self):
+        config = parse(
+            {"program": "x", "tree": True, "max_steps": 10**9,
+             "stepper": "naive"}
+        ).config
+        assert config == LiftConfig(
+            mode="tree", max_steps=1000, max_seconds=10.0,
+            on_budget="truncate", stepper_mode="naive",
+        )
 
     @pytest.mark.parametrize(
         "payload",
@@ -77,6 +82,10 @@ class TestLiftRequest:
             {"program": "x", "max_steps": 0},
             {"program": "x", "max_steps": "many"},
             {"program": "x", "max_seconds": -1},
+            {"program": "x", "max_seconds": float("nan")},
+            {"program": "x", "max_seconds": float("inf")},
+            {"program": "x", "max_steps": True},
+            {"program": "x", "max_seconds": True},
             {"program": "x", "tree": "yes"},
             {"program": "x", "sugar": 3},
         ],
@@ -100,7 +109,27 @@ class TestBatchRequest:
             available_backends(),
         )
         assert req.programs == ("(not #t)", "(or #f #t)")
-        assert req.max_steps == 1000
+        assert req.config == LiftConfig(
+            max_steps=1000, max_seconds=10.0, on_budget="truncate"
+        )
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"max_seconds": float("nan")},
+            {"max_seconds": float("inf")},
+            {"max_steps": True},
+            {"max_seconds": True},
+            {"max_steps": 0},
+        ],
+    )
+    def test_malformed_budgets_rejected(self, budget):
+        with pytest.raises(ProtocolError):
+            parse_batch_request(
+                json.dumps({"programs": ["(not #t)"], **budget}).encode(),
+                LIMITS,
+                available_backends(),
+            )
 
     @pytest.mark.parametrize(
         "programs", [None, [], ["ok", 7], "just one", [""]]

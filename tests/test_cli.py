@@ -253,6 +253,39 @@ class TestBudgetFlags:
         assert code == 0
         assert "[truncated: budget exhausted]" in out
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["lift", "--max-steps", "-1", "(or #t #f)"], "max_steps"),
+            (["lift", "--tree", "--max-steps", "-3", "(amb 1 2)"],
+             "max_steps"),
+            (["lift", "--max-seconds", "nan", "(or #t #f)"], "max_seconds"),
+            (["lift", "--max-seconds", "inf", "(or #t #f)"], "max_seconds"),
+            (["lift", "--max-seconds", "-1", "(or #t #f)"], "max_seconds"),
+            (["lift-batch", "--max-steps", "-1", "unused.scm"], "max_steps"),
+            (["lift-batch", "--max-seconds", "nan", "unused.scm"],
+             "max_seconds"),
+        ],
+    )
+    def test_out_of_range_budgets_are_usage_errors(self, capsys, argv,
+                                                   option):
+        """Rejected before any lift runs, with argparse's exit status 2
+        (not a late 'did not finish within -1 steps', and not a NaN
+        deadline that never fires)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_zero_step_budget_is_still_valid(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "lift", "--max-steps", "0", "--on-budget", "truncate",
+            "(or #t #f)",
+        )
+        assert code == 0
+        assert out.splitlines() == ["(or #t #f)"]
+
 
 class TestDesugar:
     def test_plain(self, capsys):
