@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,6 +45,7 @@ __all__ = [
     "SCHEMA",
     "SERVE_SCHEMA",
     "validate",
+    "summarize",
 ]
 
 DEFAULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_lift.json"
@@ -124,6 +126,19 @@ class BenchReporter:
     def write(self) -> Path:
         self.path.write_text(json.dumps(self.payload(), indent=2) + "\n")
         return self.path
+
+
+def summarize(samples, digits: int = 4) -> Dict[str, float]:
+    """Median, min and interquartile range of repeated measurements
+    (at least 5, so the quartiles mean something)."""
+    if len(samples) < 5:
+        raise ValueError(f"need >= 5 repeats, got {len(samples)}")
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "median": round(statistics.median(samples), digits),
+        "min": round(min(samples), digits),
+        "iqr": round(q3 - q1, digits),
+    }
 
 
 REPORTER = BenchReporter()

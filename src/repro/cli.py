@@ -705,12 +705,13 @@ def _cmd_serve(args) -> int:
 
 
 def _lift_config(args) -> LiftConfig:
-    """The one LiftConfig of a ``lift`` / ``lift-batch`` invocation."""
+    """The one LiftConfig of a ``lift`` / ``lift-batch`` invocation;
+    ``trace`` builds one too, so its ``--max-steps`` is checked alike."""
     return LiftConfig(
         mode="tree" if getattr(args, "tree", False) else "sequence",
         max_steps=args.max_steps,
-        max_seconds=args.max_seconds,
-        on_budget=args.on_budget,
+        max_seconds=getattr(args, "max_seconds", None),
+        on_budget=getattr(args, "on_budget", "raise"),
         stepper_mode=getattr(args, "stepper", None),
     )
 
@@ -718,7 +719,7 @@ def _lift_config(args) -> LiftConfig:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("lift", "lift-batch"):
+    if args.command in ("lift", "lift-batch", "trace"):
         try:
             args.config = _lift_config(args)
         except ValueError as exc:

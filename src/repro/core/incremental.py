@@ -18,9 +18,11 @@ of O(term size):
   of memoized tag-free skeletons.
 
 A cache is valid for one rulelist and one interning generation; the
-lifting loop creates one per run.  Results are structurally identical to
-the pure functions in :mod:`repro.core.desugar` — the equivalence test
-suite asserts this over the whole golden corpus.
+lifting loop creates one per run and desugars the program through it,
+so its Emulation checks start from a filled ``_desugar`` memo.  Results
+are structurally identical to the pure functions in
+:mod:`repro.core.desugar` — the equivalence test suite asserts this over
+the whole golden corpus.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from repro.obs.metrics import (
     RESUGAR_CALLS,
     RESUGAR_FAIL_PROPAGATIONS,
 )
+from repro.obs.trace import span as _span
 from repro.core.terms import (
     BodyTag,
     Const,
@@ -375,11 +378,14 @@ class ResugarCache:
 
     def desugar(self, surface_term: Pattern) -> Pattern:
         """Equivalent to :func:`repro.core.desugar.desugar` (topdown
-        order), incremental."""
+        order), incremental; traced as the same ``desugar`` span."""
         self._check_generation()
         self.stats.desugar_calls += 1
         self._fuel = DEFAULT_MAX_EXPANSIONS
         with deep_recursion():
+            if _obs.enabled:
+                with _span("desugar", order="topdown"):
+                    return self._desugar_walk(_intern(surface_term), 0)
             return self._desugar_walk(_intern(surface_term), 0)
 
     def _desugar_walk(self, t: Pattern, depth: int) -> Pattern:
@@ -468,9 +474,11 @@ class ResugarCache:
         surface term desugar into the core term, modulo tags?
 
         Both skeletons are interned, so the comparison itself is a single
-        identity check.
+        identity check.  Each check gets the full expansion fuel, as
+        each :meth:`desugar` call does.
         """
         self._check_generation()
+        self._fuel = DEFAULT_MAX_EXPANSIONS
         with deep_recursion():
             core_skeleton = self._skel_walk(_intern(core_term))
             surface_core = self._desugar_walk(_intern(surface_term), 0)

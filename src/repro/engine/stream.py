@@ -297,12 +297,16 @@ def _drive(
     """The lifting loop: one frontier of ``(state, parent node id)``
     pairs, explored breadth-first; a sequence's never exceeds one."""
     tree = config.mode == "tree"
-    core = desugar(rules, surface_term)
-    frontier = deque([(stepper.load(core), None)])
     cache = ResugarCache(rules) if config.incremental else None
     stats = cache.stats if cache else None
+    # Desugar once: through the cache, the run's own desugar fills its
+    # memo, so the step-0 Emulation check is an identity hit.  The memo
+    # tier is hydrated only afterwards, so the program's expansions (and
+    # their provenance events) show whatever the tier holds.
+    core = cache.desugar(surface_term) if cache else desugar(rules, surface_term)
     if cache is not None and lift_cache is not None:
         lift_cache.hydrate(cache)
+    frontier = deque([(stepper.load(core), None)])
 
     def persist_memo():
         # Before the terminal yield, not after: a consumer that stops

@@ -8,7 +8,11 @@ shadow-respecting substitution suffices; no alpha-renaming is needed.
 
 Origin discipline: a variable *reference* that gets replaced disappears,
 taking its tags with it (the value that replaces it keeps its own tags);
-all other structure is rebuilt with tags preserved (Definition 4).
+all other structure is kept with tags preserved (Definition 4).
+
+Sharing: a subterm in which nothing was replaced is returned as the very
+same object, so the untouched parts of a contractum stay canonical
+(:mod:`repro.core.intern`) and re-interning it stops at them.
 """
 
 from __future__ import annotations
@@ -89,7 +93,8 @@ def _walk(
         if _is_ref(bare, name):
             # The reference node is consumed; its tags go with it.
             return on_ref()
-        return Tagged(term.tag, _walk(term.term, name, on_ref, on_set))
+        inner = _walk(term.term, name, on_ref, on_set)
+        return term if inner is term.term else Tagged(term.tag, inner)
 
     if isinstance(term, Node):
         if _is_ref(term, name):
@@ -105,13 +110,16 @@ def _walk(
             return on_set(rhs)
         if term.label == "Lam" and _param_of(term) == name:
             return term  # shadowed
-        return Node(
-            term.label,
-            tuple(_walk(c, name, on_ref, on_set) for c in term.children),
-        )
+        children = tuple(_walk(c, name, on_ref, on_set) for c in term.children)
+        if all(a is b for a, b in zip(children, term.children)):
+            return term
+        return Node(term.label, children)
 
     if isinstance(term, PList):
-        return PList(tuple(_walk(c, name, on_ref, on_set) for c in term.items))
+        items = tuple(_walk(c, name, on_ref, on_set) for c in term.items)
+        if all(a is b for a, b in zip(items, term.items)):
+            return term
+        return PList(items)
 
     return term
 

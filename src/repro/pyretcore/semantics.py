@@ -99,12 +99,17 @@ def _strategy() -> EvalStrategy:
 # --- substitution -----------------------------------------------------
 
 def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
-    """Shadow-respecting substitution of ``value`` for ``Id(name)``."""
+    """Shadow-respecting substitution of ``value`` for ``Id(name)``.
+
+    A subterm in which nothing was replaced is returned as the same
+    object, so the contractum shares (and stays interned on) everything
+    the substitution did not touch."""
     if isinstance(term, Tagged):
         bare = _bare(term)
         if _is_ref(bare, name):
             return value
-        return Tagged(term.tag, substitute(term.term, name, value))
+        inner = substitute(term.term, name, value)
+        return term if inner is term.term else Tagged(term.tag, inner)
     if isinstance(term, Node):
         if _is_ref(term, name):
             return value
@@ -114,19 +119,21 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
             bound = _bare(term.children[0])
             if isinstance(bound, Const) and bound.value == name:
                 # The bound expression is still open; the body is shadowed.
+                rhs = substitute(term.children[1], name, value)
+                if rhs is term.children[1]:
+                    return term
                 return Node(
-                    term.label,
-                    (
-                        term.children[0],
-                        substitute(term.children[1], name, value),
-                        term.children[2],
-                    ),
+                    term.label, (term.children[0], rhs, term.children[2])
                 )
-        return Node(
-            term.label, tuple(substitute(c, name, value) for c in term.children)
-        )
+        children = tuple(substitute(c, name, value) for c in term.children)
+        if all(a is b for a, b in zip(children, term.children)):
+            return term
+        return Node(term.label, children)
     if isinstance(term, PList):
-        return PList(tuple(substitute(c, name, value) for c in term.items))
+        items = tuple(substitute(c, name, value) for c in term.items)
+        if all(a is b for a, b in zip(items, term.items)):
+            return term
+        return PList(items)
     return term
 
 

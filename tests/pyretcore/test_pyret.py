@@ -4,7 +4,9 @@ import pytest
 
 from repro.confection import Confection
 from repro.core.errors import ParseError, StuckError
+from repro.core.terms import BodyTag, Const, Node, PList, Tagged
 from repro.pyretcore import make_semantics, make_stepper, parse_program, pretty
+from repro.pyretcore.semantics import substitute
 from repro.sugars.pyret_sugars import (
     FIGURE_5_ROWS,
     make_pyret_rules,
@@ -178,6 +180,51 @@ class TestSection4:
     def test_substantial_hiding(self, conf):
         result = conf.lift(parse_program(self.LEN))
         assert result.skipped_count > result.shown_count
+
+    def test_len_over_a_100_element_list_lifts(self, conf):
+        """Reproducer: every Emulation check of a run used to draw on one
+        shared expansion fuel, so this 1110-step lift tripped the
+        10 000-expansion guard with a spurious ``ExpansionError``."""
+        items = ", ".join(str(i) for i in range(100))
+        source = self.LEN.replace("len([1, 2])", f"len([{items}])")
+        result = conf.lift(parse_program(source))
+        assert result.core_step_count == 1110
+        assert result.shown_count == 304
+        assert pretty(result.surface_sequence[-1]) == "100"
+
+
+def _id(name):
+    return Node("Id", (Const(name),))
+
+
+class TestSubstituteSharing:
+    """``substitute`` returns every subterm it does not rewrite as the
+    same object, so contracta stay interned on their untouched parts."""
+
+    BIG = Node(
+        "Lam",
+        (PList((Const("y"),)), Node("App", (_id("g"), PList((_id("y"), Const(1)))))),
+    )
+
+    def test_name_not_free_returns_the_input(self):
+        assert substitute(self.BIG, "x", Const(5)) is self.BIG
+        tagged = Tagged(BodyTag(), self.BIG)
+        assert substitute(tagged, "x", Const(5)) is tagged
+
+    def test_shadowing_let_keeps_its_body(self):
+        closed = Node("Let", (Const("x"), self.BIG, _id("x")))
+        assert substitute(closed, "x", Const(5)) is closed
+        open_rhs = Node("Let", (Const("x"), _id("x"), _id("x")))
+        out = substitute(open_rhs, "x", Const(5))
+        assert out.children[1] == Const(5)
+        assert out.children[2] is open_rhs.children[2]
+
+    def test_beta_contractum_shares_every_untouched_subterm(self):
+        body = Node("App", (_id("f"), PList((_id("x"), self.BIG))))
+        out = substitute(body, "x", Const(5))
+        assert out.children[0] is body.children[0]
+        assert out.children[1].items[0] == Const(5)
+        assert out.children[1].items[1] is self.BIG
 
 
 class TestSection83BinOps:

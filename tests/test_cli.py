@@ -265,6 +265,7 @@ class TestBudgetFlags:
             (["lift-batch", "--max-steps", "-1", "unused.scm"], "max_steps"),
             (["lift-batch", "--max-seconds", "nan", "unused.scm"],
              "max_seconds"),
+            (["trace", "--max-steps", "-5", "(or #f #t)"], "max_steps"),
         ],
     )
     def test_out_of_range_budgets_are_usage_errors(self, capsys, argv,
@@ -306,6 +307,14 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "--lang", "lambda", "(+ 1 (* 2 3))")
         assert code == 0
         assert out.strip().splitlines() == ["(+ 1 (* 2 3))", "(+ 1 6)", "7"]
+
+    def test_step_budget_still_stops_the_trace(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--max-steps", "1", "(+ 1 (* 2 3))"
+        )
+        assert code == 1
+        assert out.strip().splitlines() == ["(+ 1 (* 2 3))"]
+        assert "[stopped after 1 steps]" in err
 
 
 class TestCheck:
