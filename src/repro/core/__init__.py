@@ -74,6 +74,7 @@ from repro.core.terms import (
     subterms,
     term_depth,
     term_size,
+    untagged,
 )
 from repro.core.unification import rename_variables, subsumes, unifiable, unify
 from repro.core.wellformed import (
@@ -87,7 +88,7 @@ __all__ = [
     "Pattern", "Term", "PVar", "Const", "Node", "PList", "Symbol",
     "Tag", "HeadTag", "BodyTag", "Tagged",
     "is_term", "pattern_variables", "strip_tags", "strip_body_tags",
-    "subterms", "term_size", "term_depth",
+    "subterms", "term_size", "term_depth", "untagged",
     # bindings
     "Env", "ListBinding", "EllipsisBinding",
     # operations

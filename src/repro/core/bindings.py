@@ -18,7 +18,7 @@ is unified against an ellipsis pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from repro.core.errors import PatternError, SubstitutionError
 from repro.core.terms import Const, Pattern, PList
@@ -31,6 +31,7 @@ __all__ = [
     "union",
     "merge",
     "split",
+    "list_binding",
     "to_term",
     "restrict",
     "without",
@@ -159,33 +160,35 @@ def split(
             "split: ellipsis pattern contains no variables, so the number "
             "of repetitions is undetermined (well-formedness criterion 3)"
         )
-    length: Optional[int] = None
+    lists = []
     for name in names:
-        if name not in sigma:
-            raise SubstitutionError(f"split: unbound ellipsis variable {name!r}")
-        b = sigma[name]
-        if not isinstance(b, ListBinding):
-            raise SubstitutionError(
-                f"split: variable {name!r} used under an ellipsis but bound "
-                f"to a non-list binding {b!r} (ellipsis depth mismatch)"
-            )
-        if length is None:
-            length = len(b)
-        elif length != len(b):
+        lb = list_binding(sigma, name)
+        if lists and len(lists[0]) != len(lb):
             raise SubstitutionError(
                 f"split: ellipsis variables have unequal repetition counts "
-                f"({length} vs {len(b)} for {name!r})"
+                f"({len(lists[0])} vs {len(lb)} for {name!r})"
             )
-    assert length is not None
-    out = []
-    for i in range(length):
-        env_i: Env = {}
-        for name in names:
-            lb = sigma[name]
-            assert isinstance(lb, ListBinding)
-            env_i[name] = lb.items[i]
-        out.append(env_i)
-    return tuple(out)
+        lists.append(lb)
+    length = len(lists[0])
+    return tuple(
+        {name: lb.items[i] for name, lb in zip(names, lists)}
+        for i in range(length)
+    )
+
+
+def list_binding(sigma: Mapping[str, Binding], name: str) -> ListBinding:
+    """The list binding of ellipsis variable ``name`` in ``sigma``;
+    raises :class:`SubstitutionError` if it is unbound or bound at the
+    wrong ellipsis depth."""
+    if name not in sigma:
+        raise SubstitutionError(f"split: unbound ellipsis variable {name!r}")
+    b = sigma[name]
+    if not isinstance(b, ListBinding):
+        raise SubstitutionError(
+            f"split: variable {name!r} used under an ellipsis but bound "
+            f"to a non-list binding {b!r} (ellipsis depth mismatch)"
+        )
+    return b
 
 
 def to_term(b: Binding) -> Pattern:

@@ -9,6 +9,8 @@ The interesting case is the ellipsis: matching ``(T1 ... Tn+k)`` against
 ``(P1 ... Pn Pe*)`` matches the fixed prefix pairwise and then matches
 each of the ``k`` remaining elements against ``Pe``, *merging* the
 resulting environments into list bindings (one item per repetition).
+When ``Pe`` is a bare variable, the ``k`` elements are its list binding
+as they stand, with no per-repetition environments.
 
 Tags and matching.  Body tags are literally part of RHS patterns
 (section 5.2.1), so by default a tagged term only matches a tagged
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
 
-from repro.core.bindings import Binding, Env, merge
+from repro.core.bindings import Binding, Env, ListBinding, merge
 from repro.obs import _state as _obs
 from repro.obs.metrics import MATCH_ATTEMPTS, MATCH_SUCCESSES
 from repro.core.terms import (
@@ -66,12 +68,13 @@ def match(
     re-checked on every call for speed, but variables in the term position
     will simply never match anything except a pattern variable.
     """
-    result = _match(term, pattern, see_through_tags, lenient_pattern_tags)
+    env: Env = {}
+    ok = _match(term, pattern, see_through_tags, lenient_pattern_tags, env)
     if _obs.enabled:
         MATCH_ATTEMPTS.inc()
-        if result is not None:
+        if ok:
             MATCH_SUCCESSES.inc()
-    return result
+    return env if ok else None
 
 
 def matches(
@@ -81,12 +84,12 @@ def matches(
     lenient_pattern_tags: bool = False,
 ) -> bool:
     """The paper's ``T >= P``: does ``term`` match ``pattern``?"""
-    result = _match(term, pattern, see_through_tags, lenient_pattern_tags)
+    result = _match(term, pattern, see_through_tags, lenient_pattern_tags, {})
     if _obs.enabled:
         MATCH_ATTEMPTS.inc()
-        if result is not None:
+        if result:
             MATCH_SUCCESSES.inc()
-    return result is not None
+    return result
 
 
 def match_explain(
@@ -246,73 +249,80 @@ def _union(sigma1: Env, sigma2: Mapping[str, Binding]) -> Optional[Env]:
     return sigma1
 
 
-def _match(term: Pattern, pattern: Pattern, see: bool, lenient: bool) -> Optional[Env]:
-    # T / x = {x -> T}: variables capture the term, tags included.
-    if isinstance(pattern, PVar):
-        return {pattern.name: term}
+def _match(
+    term: Pattern, pattern: Pattern, see: bool, lenient: bool, env: Env
+) -> bool:
+    """Match ``term`` against ``pattern``, adding the bindings to ``env``.
 
-    if isinstance(pattern, Tagged):
-        if isinstance(term, Tagged) and term.tag == pattern.tag:
-            return _match(term.term, pattern.term, see, lenient)
+    One environment serves the whole match.  A variable bound twice (an
+    atomic duplicate, criterion 2's exception) must rebind an equal
+    term, the same check :func:`_union` makes on sibling environments.
+    """
+    cls = pattern.__class__
+    # T / x = {x -> T}: variables capture the term, tags included.
+    if cls is PVar:
+        return _bind(env, pattern.name, term)
+
+    if cls is Tagged:
+        if term.__class__ is Tagged and term.tag == pattern.tag:
+            return _match(term.term, pattern.term, see, lenient, env)
         if lenient and isinstance(pattern.tag, BodyTag):
-            return _match(term, pattern.term, see, lenient)
-        return None
+            return _match(term, pattern.term, see, lenient, env)
+        return False
 
     # The pattern is a constant, node, or list.  A tagged term matches it
     # only in see-through mode (expansion-time LHS matching).
-    if isinstance(term, Tagged):
-        if see:
-            return _match(term.term, pattern, see, lenient)
-        return None
+    if term.__class__ is Tagged:
+        return see and _match(term.term, pattern, see, lenient, env)
 
-    if isinstance(pattern, Const):
-        if isinstance(term, Const) and term == pattern:
-            return {}
-        return None
+    if cls is Const:
+        return term.__class__ is Const and term == pattern
 
-    if isinstance(pattern, Node):
+    if cls is Node:
         if (
-            not isinstance(term, Node)
+            term.__class__ is not Node
             or term.label != pattern.label
             or len(term.children) != len(pattern.children)
         ):
-            return None
-        out: Env = {}
+            return False
         for t_child, p_child in zip(term.children, pattern.children):
-            sub = _match(t_child, p_child, see, lenient)
-            if sub is None:
-                return None
-            if _union(out, sub) is None:
-                return None
-        return out
+            if not _match(t_child, p_child, see, lenient, env):
+                return False
+        return True
 
-    if isinstance(pattern, PList):
-        if not isinstance(term, PList) or term.ellipsis is not None:
-            return None
+    if cls is PList:
+        if term.__class__ is not PList or term.ellipsis is not None:
+            return False
+        items = term.items
         n = len(pattern.items)
-        if pattern.ellipsis is None:
-            if len(term.items) != n:
-                return None
-        elif len(term.items) < n:
-            return None
-        out = {}
-        for t_item, p_item in zip(term.items[:n], pattern.items):
-            sub = _match(t_item, p_item, see, lenient)
-            if sub is None:
-                return None
-            if _union(out, sub) is None:
-                return None
-        if pattern.ellipsis is not None:
-            rep_envs = []
-            for t_item in term.items[n:]:
-                sub = _match(t_item, pattern.ellipsis, see, lenient)
-                if sub is None:
-                    return None
-                rep_envs.append(sub)
-            ell_vars = dict.fromkeys(pattern_variables(pattern.ellipsis))
-            merged = merge(rep_envs, ell_vars)
-            if _union(out, merged) is None:
-                return None
-        return out
+        ellipsis = pattern.ellipsis
+        if ellipsis is None:
+            if len(items) != n:
+                return False
+        elif len(items) < n:
+            return False
+        for t_item, p_item in zip(items, pattern.items):
+            if not _match(t_item, p_item, see, lenient, env):
+                return False
+        if ellipsis is None:
+            return True
+        if ellipsis.__class__ is PVar:
+            # A bare repeated variable: the rest of the list is its binding.
+            return _bind(env, ellipsis.name, ListBinding(items[n:]))
+        rep_envs = []
+        for t_item in items[n:]:
+            sub: Env = {}
+            if not _match(t_item, ellipsis, see, lenient, sub):
+                return False
+            rep_envs.append(sub)
+        merged = merge(rep_envs, dict.fromkeys(pattern_variables(ellipsis)))
+        return all(_bind(env, name, b) for name, b in merged.items())
 
-    return None
+    return False
+
+
+def _bind(env: Env, name: str, b: Binding) -> bool:
+    if name in env:
+        return env[name] == b
+    env[name] = b
+    return True

@@ -70,6 +70,7 @@ __all__ = [
     "pattern_variables",
     "variable_depths",
     "strip_tags",
+    "untagged",
     "strip_body_tags",
     "subterms",
     "term_size",
@@ -411,6 +412,13 @@ def variable_depths(p: Pattern) -> dict[str, int]:
 
     walk(p, 0)
     return depths
+
+
+def untagged(t: Pattern) -> Pattern:
+    """``t`` with its outermost tags removed (the subterms keep theirs)."""
+    while t.__class__ is Tagged:
+        t = t.term
+    return t
 
 
 def strip_tags(t: Pattern) -> Pattern:

@@ -42,8 +42,8 @@ from repro.lambdacore.semantics import (
     make_stepper,
     plug_hole,
 )
-from repro.lambdacore.substitute import is_assigned, substitute, substitute_boxed
-from repro.lambdacore.syntax import from_sexpr, parse_program, pretty, to_sexpr
+from repro.lambdacore.substitute import substitute, substitute_boxed
+from repro.lambdacore.syntax import from_sexpr, parse_program, pretty
 
 __all__ = [
     "ast",
@@ -52,10 +52,8 @@ __all__ = [
     "parse_program",
     "pretty",
     "from_sexpr",
-    "to_sexpr",
     "substitute",
     "substitute_boxed",
-    "is_assigned",
     "apply_primitive",
     "PRIMITIVE_NAMES",
     "alloc",

@@ -11,19 +11,13 @@ from numbers import Number
 from typing import Callable, Dict, List
 
 from repro.core.errors import StuckError
-from repro.core.terms import Const, Node, Pattern, Tagged
+from repro.core.terms import Const, Node, Pattern, untagged
 
 __all__ = ["apply_primitive", "PRIMITIVE_NAMES"]
 
 
-def _bare(t: Pattern) -> Pattern:
-    while isinstance(t, Tagged):
-        t = t.term
-    return t
-
-
 def _number(name: str, t: Pattern):
-    bare = _bare(t)
+    bare = untagged(t)
     if isinstance(bare, Const) and isinstance(bare.value, Number) \
             and not isinstance(bare.value, bool):
         return bare.value
@@ -31,14 +25,14 @@ def _number(name: str, t: Pattern):
 
 
 def _string(name: str, t: Pattern) -> str:
-    bare = _bare(t)
+    bare = untagged(t)
     if isinstance(bare, Const) and isinstance(bare.value, str):
         return bare.value
     raise StuckError(f"{name}: expected a string, got {bare}")
 
 
 def _boolean(name: str, t: Pattern) -> bool:
-    bare = _bare(t)
+    bare = untagged(t)
     if isinstance(bare, Const) and isinstance(bare.value, bool):
         return bare.value
     raise StuckError(f"{name}: expected a boolean, got {bare}")
@@ -152,7 +146,7 @@ def _cons(name: str, args: List[Pattern]) -> Node:
 def _pair_part(index: int):
     def run(name: str, args: List[Pattern]) -> Pattern:
         _arity(name, args, 1)
-        bare = _bare(args[0])
+        bare = untagged(args[0])
         if isinstance(bare, Node) and bare.label == "Pair":
             return bare.children[index]
         raise StuckError(f"{name}: expected a pair, got {bare}")
@@ -162,13 +156,13 @@ def _pair_part(index: int):
 
 def _null(name: str, args: List[Pattern]) -> Const:
     _arity(name, args, 1)
-    bare = _bare(args[0])
+    bare = untagged(args[0])
     return Const(isinstance(bare, Node) and bare.label == "Nil")
 
 
 def _pair_pred(name: str, args: List[Pattern]) -> Const:
     _arity(name, args, 1)
-    bare = _bare(args[0])
+    bare = untagged(args[0])
     return Const(isinstance(bare, Node) and bare.label == "Pair")
 
 

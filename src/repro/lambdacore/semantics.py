@@ -42,7 +42,7 @@ from repro.core.terms import (
 from repro.lambdacore.ast import HOLE
 from repro.lambdacore.prims import apply_primitive
 from repro.lambdacore.substitute import (
-    is_assigned,
+    Assigned,
     substitute,
     substitute_assigned,
 )
@@ -147,7 +147,10 @@ def _beta(env, store):
     param = env["x"].value
     body = env["body"]
     arg = env["arg"]
-    if is_assigned(body, param):
+    try:
+        return substitute(body, param, arg)
+    except Assigned:
+        # The body assigns the parameter: give it a named cell instead.
         cell_name = _fresh_cell_name(store, param)
         updated = dict(store)
         updated[cell_name] = arg
@@ -155,7 +158,6 @@ def _beta(env, store):
             substitute_assigned(body, param, cell_name),
             MappingProxyType(updated),
         )
-    return substitute(body, param, arg)
 
 
 def _cell_name(t: Pattern):

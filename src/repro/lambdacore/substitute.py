@@ -19,33 +19,42 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.terms import Const, Node, Pattern, PList, Tagged
+from repro.core.terms import Const, Node, Pattern, PList, Tagged, untagged
 
-__all__ = ["substitute", "substitute_boxed", "substitute_assigned", "is_assigned"]
+__all__ = [
+    "Assigned",
+    "substitute",
+    "substitute_boxed",
+    "substitute_assigned",
+]
 
 
-def _bare(t: Pattern) -> Pattern:
-    while isinstance(t, Tagged):
-        t = t.term
-    return t
+class Assigned(Exception):
+    """Raised by :func:`substitute` on reaching a ``Set`` of the variable
+    outside any shadowing binder: the variable is assigned, so it must
+    be boxed rather than substituted by value."""
 
 
 def _param_of(lam_node: Node) -> Optional[str]:
-    bare = _bare(lam_node.children[0])
+    bare = untagged(lam_node.children[0])
     if isinstance(bare, Const) and isinstance(bare.value, str):
         return bare.value
     return None
 
 
 def _target_name(node: Node) -> Optional[str]:
-    bare = _bare(node.children[0])
+    bare = untagged(node.children[0])
     if isinstance(bare, Const) and isinstance(bare.value, str):
         return bare.value
     return None
 
 
 def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
-    """Replace free references ``Id(name)`` in ``term`` by ``value``."""
+    """Replace free references ``Id(name)`` in ``term`` by ``value``.
+
+    Raises :class:`Assigned` if ``term`` assigns ``name``; that one walk
+    is also the test of whether a parameter needs boxing.
+    """
     return _walk(
         term,
         name,
@@ -89,7 +98,7 @@ def _walk(
     on_set: Optional[Callable[[Pattern], Pattern]],
 ) -> Pattern:
     if isinstance(term, Tagged):
-        bare = _bare(term)
+        bare = untagged(term)
         if _is_ref(bare, name):
             # The reference node is consumed; its tags go with it.
             return on_ref()
@@ -100,14 +109,9 @@ def _walk(
         if _is_ref(term, name):
             return on_ref()
         if term.label == "Set" and _target_name(term) == name:
-            rhs = _walk(term.children[1], name, on_ref, on_set)
             if on_set is None:
-                # A Set on a variable we substitute by value: the static
-                # boxing analysis should have prevented this.
-                raise AssertionError(
-                    f"substituting by value into assignment of {name!r}"
-                )
-            return on_set(rhs)
+                raise Assigned(name)
+            return on_set(_walk(term.children[1], name, on_ref, on_set))
         if term.label == "Lam" and _param_of(term) == name:
             return term  # shadowed
         children = tuple(_walk(c, name, on_ref, on_set) for c in term.children)
@@ -129,20 +133,5 @@ def _is_ref(bare: Pattern, name: str) -> bool:
         isinstance(bare, Node)
         and bare.label == "Id"
         and len(bare.children) == 1
-        and _bare(bare.children[0]) == Const(name)
+        and untagged(bare.children[0]) == Const(name)
     )
-
-
-def is_assigned(term: Pattern, name: str) -> bool:
-    """Does ``term`` contain a ``Set`` of ``name`` outside any shadowing
-    binder?  Decides whether a parameter must be boxed at application."""
-    bare = _bare(term)
-    if isinstance(bare, Node):
-        if bare.label == "Set" and _target_name(bare) == name:
-            return True
-        if bare.label == "Lam" and _param_of(bare) == name:
-            return False
-        return any(is_assigned(c, name) for c in bare.children)
-    if isinstance(bare, PList):
-        return any(is_assigned(c, name) for c in bare.items)
-    return False

@@ -1,5 +1,7 @@
 """Concrete syntax for the lambda language: the ``s->t`` / ``t->s``
-bridges of section 5.3, over s-expressions.
+bridges of section 5.3.  Reading goes through s-expressions
+(:mod:`repro.lang.sexpr`); :func:`pretty` writes a term, tags and all,
+straight to text in one pass.
 
 The *surface* language includes every sugar of section 8.1 (let, letrec,
 multi-argument ``function``, thunk/force, multi-arm and/or, cond, the
@@ -20,11 +22,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.errors import ParseError
-from repro.core.terms import Const, Node, Pattern, PList, Symbol, Tagged, strip_tags
+from repro.core.terms import Const, Node, Pattern, PList, Symbol, untagged
 from repro.lambdacore.prims import PRIMITIVE_NAMES
 from repro.lang.sexpr import SExpr, read_sexpr, write_sexpr
 
-__all__ = ["from_sexpr", "to_sexpr", "parse_program", "pretty"]
+__all__ = ["from_sexpr", "parse_program", "pretty"]
 
 
 def parse_program(source: str) -> Pattern:
@@ -33,8 +35,12 @@ def parse_program(source: str) -> Pattern:
 
 
 def pretty(term: Pattern) -> str:
-    """Render a (possibly tagged) term back to s-expression syntax."""
-    return write_sexpr(to_sexpr(strip_tags(term)))
+    """Render a (possibly tagged) term back to s-expression syntax.
+
+    Tags are read through, never copied away: the text is exactly what
+    the term's tag-free copy would print.
+    """
+    return _pp(term)
 
 
 # --- s -> t -----------------------------------------------------------
@@ -285,246 +291,145 @@ _FORMS = {
 
 
 # --- t -> s -----------------------------------------------------------
-
-def to_sexpr(term: Pattern) -> SExpr:
-    """Convert a tag-free term back to an s-expression."""
-    if isinstance(term, Const):
-        if isinstance(term.value, Symbol):
-            return term.value
-        return term.value
-    if isinstance(term, PList):
-        return [to_sexpr(t) for t in term.items]
-    if not isinstance(term, Node):
-        raise ParseError(f"cannot render {term!r} as an s-expression")
-
-    label = term.label
-    printer = _PRINTERS.get(label)
-    if printer is not None:
-        return printer(term)
-    # Generic fallback: (label child ...).
-    return [Symbol(label.lower()), *(to_sexpr(c) for c in term.children)]
+#
+# One recursive writer from term to text.  Every child is read through
+# ``untagged``, so a tagged term prints exactly as its tag-free copy
+# would, without building that copy or an intermediate s-expression.
 
 
-def _const_str(t: Pattern) -> str:
-    assert isinstance(t, Const) and isinstance(t.value, str)
-    return t.value
+def _pp(t: Pattern) -> str:
+    t = untagged(t)
+    cls = t.__class__
+    if cls is Node:
+        writer = _WRITERS.get(t.label)
+        if writer is not None:
+            return writer(t)
+        # Generic fallback: (label child ...).
+        return _form(t.label.lower(), t.children)
+    if cls is Const:
+        return write_sexpr(t.value)
+    if cls is PList:
+        return _paren(map(_pp, t.items))
+    raise ParseError(f"cannot render {t!r} as an s-expression")
 
 
-def _list_items(t: Pattern):
-    assert isinstance(t, PList)
-    return t.items
+def _paren(words) -> str:
+    return "(" + " ".join(words) + ")"
 
 
-def _print_id(t):
-    return Symbol(_const_str(t.children[0]))
+def _form(head: str, parts) -> str:
+    return _paren([head, *map(_pp, parts)])
 
 
-def _print_lam(t):
-    return [Symbol("lambda"), [Symbol(_const_str(t.children[0]))],
-            to_sexpr(t.children[1])]
+def _name(t: Pattern) -> str:
+    return untagged(t).value
 
 
-def _print_app(t):
+def _items(t: Pattern):
+    return untagged(t).items
+
+
+def _app(t):
     # Flatten curried applications for readability.
     parts = [t.children[1]]
-    fn = t.children[0]
-    while isinstance(fn, Node) and fn.label == "App":
+    fn = untagged(t.children[0])
+    while fn.__class__ is Node and fn.label == "App":
         parts.append(fn.children[1])
-        fn = fn.children[0]
+        fn = untagged(fn.children[0])
     parts.append(fn)
-    return [to_sexpr(p) for p in reversed(parts)]
+    parts.reverse()
+    return _paren(map(_pp, parts))
 
 
-def _print_if(t):
-    return [Symbol("if"), *(to_sexpr(c) for c in t.children)]
-
-
-def _print_seq(t):
-    return [Symbol("begin"), *(to_sexpr(c) for c in _list_items(t.children[0]))]
-
-
-def _print_set(t):
-    return [Symbol("set!"), Symbol(_const_str(t.children[0])),
-            to_sexpr(t.children[1])]
-
-
-def _print_setloc(t):
-    return [Symbol("set-loc!"), to_sexpr(t.children[0]), to_sexpr(t.children[1])]
-
-
-def _print_deref(t):
-    return [Symbol("deref"), to_sexpr(t.children[0])]
-
-
-def _print_loc(t):
-    return Symbol(f"@{t.children[0].value}")
-
-
-def _print_pair(t):
+def _pair(t):
     # Print proper list chains as (list 1 2 3); improper pairs as
     # (cons a b).
     items = []
     cursor = t
-    while isinstance(cursor, Node) and cursor.label == "Pair":
-        items.append(to_sexpr(cursor.children[0]))
-        nxt = cursor.children[1]
-        while isinstance(nxt, Tagged):
-            nxt = nxt.term
-        cursor = nxt
-    if isinstance(cursor, Node) and cursor.label == "Nil":
-        return [Symbol("list"), *items]
-    return [Symbol("cons"), to_sexpr(t.children[0]), to_sexpr(t.children[1])]
+    while cursor.__class__ is Node and cursor.label == "Pair":
+        items.append(cursor.children[0])
+        cursor = untagged(cursor.children[1])
+    if cursor.__class__ is Node and cursor.label == "Nil":
+        return _form("list", items)
+    return _form("cons", t.children)
 
 
-def _print_nil(t):
-    return Symbol("nil")
+def _binding_form(keyword):
+    def write(t):
+        bindings = " ".join(
+            f"({_name(b.children[0])} {_pp(b.children[1])})"
+            for b in map(untagged, _items(t.children[0]))
+        )
+        return f"({keyword} ({bindings}) {_pp(t.children[1])})"
+
+    return write
 
 
-def _print_liste(t):
-    return [Symbol("list"), *(to_sexpr(c) for c in t.children[0].items)]
+def _list_form(keyword):
+    return lambda t: _form(keyword, _items(t.children[0]))
 
 
-def _print_cell(t):
+def _fixed(text):
+    return lambda t: text
+
+
+def _fun(t):
+    params = " ".join(map(_name, _items(t.children[0])))
+    return f"(function ({params}) {_pp(t.children[1])})"
+
+
+def _cond(t):
+    clauses = [
+        f"(else {_pp(c.children[0])})"
+        if c.label == "Else"
+        else f"({_pp(c.children[0])} {_pp(c.children[1])})"
+        for c in map(untagged, _items(t.children[0]))
+    ]
+    return _paren(["cond", *clauses])
+
+
+def _automaton(t):
+    states = []
+    for state in map(untagged, _items(t.children[1])):
+        arms = [
+            '"accept"'
+            if arm.label == "Accept"
+            else f"({_pp(arm.children[0])} -> {_name(arm.children[1])})"
+            for arm in map(untagged, _items(state.children[1]))
+        ]
+        states.append(_paren([_name(state.children[0]), ":", *arms]))
+    return _paren(["automaton", _name(t.children[0]), *states])
+
+
+# Labels missing here print generically, as ``(label child ...)`` with
+# the label lower-cased: If, When, While, Thunk, Force, Return, Deref.
+_WRITERS = {
+    "Id": lambda t: _name(t.children[0]),
     # A named cell displays as the bare variable name: the running term
     # keeps identifiers visible, which is what lets Figure 4's trace
     # read (more "adr") rather than a resolved closure.
-    return Symbol(_const_str(t.children[0]))
-
-
-def _print_op(t):
-    return [Symbol(_const_str(t.children[0])),
-            *(to_sexpr(c) for c in _list_items(t.children[1]))]
-
-
-def _print_amb(t):
-    return [Symbol("amb"), *(to_sexpr(c) for c in _list_items(t.children[0]))]
-
-
-def _print_bindings(t):
-    out = []
-    for b in _list_items(t):
-        assert isinstance(b, Node) and b.label == "Binding"
-        out.append([Symbol(_const_str(b.children[0])), to_sexpr(b.children[1])])
-    return out
-
-
-def _print_let(t):
-    return [Symbol("let"), _print_bindings(t.children[0]), to_sexpr(t.children[1])]
-
-
-def _print_letrec(t):
-    return [Symbol("letrec"), _print_bindings(t.children[0]),
-            to_sexpr(t.children[1])]
-
-
-def _print_fun(t):
-    params = [Symbol(_const_str(p)) for p in _list_items(t.children[0])]
-    return [Symbol("function"), params, to_sexpr(t.children[1])]
-
-
-def _print_and(t):
-    return [Symbol("and"), *(to_sexpr(c) for c in _list_items(t.children[0]))]
-
-
-def _print_or(t):
-    return [Symbol("or"), *(to_sexpr(c) for c in _list_items(t.children[0]))]
-
-
-def _print_cond(t):
-    out = [Symbol("cond")]
-    for c in _list_items(t.children[0]):
-        assert isinstance(c, Node)
-        if c.label == "Else":
-            out.append([Symbol("else"), to_sexpr(c.children[0])])
-        else:
-            out.append([to_sexpr(c.children[0]), to_sexpr(c.children[1])])
-    return out
-
-
-def _print_when(t):
-    return [Symbol("when"), to_sexpr(t.children[0]), to_sexpr(t.children[1])]
-
-
-def _print_while(t):
-    return [Symbol("while"), to_sexpr(t.children[0]), to_sexpr(t.children[1])]
-
-
-def _print_unary(name):
-    return lambda t: [Symbol(name), to_sexpr(t.children[0])]
-
-
-def _print_unit(t):
-    return Symbol("<void>")
-
-
-def _print_undefined(t):
-    return Symbol("<undefined>")
-
-
-def _print_callcc(t):
-    return Symbol("call/cc")
-
-
-def _print_cont(t):
-    return Symbol("<cont>")
-
-
-def _print_hole(t):
-    return Symbol("<hole>")
-
-
-def _print_automaton(t):
-    out = [Symbol("automaton"), Symbol(_const_str(t.children[0]))]
-    for state in _list_items(t.children[1]):
-        assert isinstance(state, Node) and state.label == "State"
-        parts = [Symbol(_const_str(state.children[0])), Symbol(":")]
-        for arm in _list_items(state.children[1]):
-            assert isinstance(arm, Node)
-            if arm.label == "Accept":
-                parts.append("accept")
-            else:
-                parts.append(
-                    [
-                        arm.children[0].value,
-                        Symbol("->"),
-                        Symbol(_const_str(arm.children[1])),
-                    ]
-                )
-        out.append(parts)
-    return out
-
-
-_PRINTERS = {
-    "Id": _print_id,
-    "Lam": _print_lam,
-    "App": _print_app,
-    "If": _print_if,
-    "Seq": _print_seq,
-    "Set": _print_set,
-    "SetLoc": _print_setloc,
-    "Deref": _print_deref,
-    "Loc": _print_loc,
-    "Cell": _print_cell,
-    "Pair": _print_pair,
-    "Nil": _print_nil,
-    "ListE": _print_liste,
-    "Op": _print_op,
-    "Amb": _print_amb,
-    "Let": _print_let,
-    "Letrec": _print_letrec,
-    "Fun": _print_fun,
-    "And": _print_and,
-    "Or": _print_or,
-    "Cond": _print_cond,
-    "When": _print_when,
-    "While": _print_while,
-    "Thunk": _print_unary("thunk"),
-    "Force": _print_unary("force"),
-    "Return": _print_unary("return"),
-    "Unit": _print_unit,
-    "Undefined": _print_undefined,
-    "CallCC": _print_callcc,
-    "Cont": _print_cont,
-    "Hole": _print_hole,
-    "Automaton": _print_automaton,
+    "Cell": lambda t: _name(t.children[0]),
+    "Loc": lambda t: f"@{_name(t.children[0])}",
+    "Lam": lambda t: f"(lambda ({_name(t.children[0])}) {_pp(t.children[1])})",
+    "App": _app,
+    "Set": lambda t: f"(set! {_name(t.children[0])} {_pp(t.children[1])})",
+    "SetLoc": lambda t: _form("set-loc!", t.children),
+    "Pair": _pair,
+    "Op": lambda t: _form(_name(t.children[0]), _items(t.children[1])),
+    "Seq": _list_form("begin"),
+    "ListE": _list_form("list"),
+    "Amb": _list_form("amb"),
+    "And": _list_form("and"),
+    "Or": _list_form("or"),
+    "Let": _binding_form("let"),
+    "Letrec": _binding_form("letrec"),
+    "Fun": _fun,
+    "Cond": _cond,
+    "Automaton": _automaton,
+    "Nil": _fixed("nil"),
+    "Unit": _fixed("<void>"),
+    "Undefined": _fixed("<undefined>"),
+    "CallCC": _fixed("call/cc"),
+    "Cont": _fixed("<cont>"),
+    "Hole": _fixed("<hole>"),
 }

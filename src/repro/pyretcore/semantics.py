@@ -23,7 +23,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from repro.core.errors import StuckError
-from repro.core.terms import Const, Node, Pattern, PList, PVar, Tagged, strip_tags
+from repro.core.terms import Const, Node, Pattern, PList, PVar, Tagged, strip_tags, untagged
 from repro.redex import (
     AtomPred,
     EvalStrategy,
@@ -35,12 +35,6 @@ from repro.redex import (
 )
 
 __all__ = ["make_semantics", "make_stepper", "NUMBER_METHODS", "STRING_METHODS"]
-
-
-def _bare(t: Pattern) -> Pattern:
-    while isinstance(t, Tagged):
-        t = t.term
-    return t
 
 
 # --- grammar ----------------------------------------------------------
@@ -105,7 +99,7 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
     object, so the contractum shares (and stays interned on) everything
     the substitution did not touch."""
     if isinstance(term, Tagged):
-        bare = _bare(term)
+        bare = untagged(term)
         if _is_ref(bare, name):
             return value
         inner = substitute(term.term, name, value)
@@ -116,7 +110,7 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
         if term.label == "Lam" and name in _param_names(term):
             return term
         if term.label in ("Let", "DefRec"):
-            bound = _bare(term.children[0])
+            bound = untagged(term.children[0])
             if isinstance(bound, Const) and bound.value == name:
                 # The bound expression is still open; the body is shadowed.
                 rhs = substitute(term.children[1], name, value)
@@ -142,16 +136,16 @@ def _is_ref(bare: Pattern, name: str) -> bool:
         isinstance(bare, Node)
         and bare.label == "Id"
         and len(bare.children) == 1
-        and _bare(bare.children[0]) == Const(name)
+        and untagged(bare.children[0]) == Const(name)
     )
 
 
 def _param_names(lam_node: Node):
-    params = _bare(lam_node.children[0])
+    params = untagged(lam_node.children[0])
     names = []
     if isinstance(params, PList):
         for p in params.items:
-            bp = _bare(p)
+            bp = untagged(p)
             if isinstance(bp, Const) and isinstance(bp.value, str):
                 names.append(bp.value)
     return names
@@ -178,9 +172,9 @@ STRING_METHODS = {
 
 
 def _beta(env, store):
-    lam_node = _bare(env["f"])
+    lam_node = untagged(env["f"])
     params = _param_names(lam_node)
-    args_term = _bare(env["args"])
+    args_term = untagged(env["args"])
     if not isinstance(args_term, PList):
         raise StuckError("application with a non-list argument vector")
     args = list(args_term.items)
@@ -196,13 +190,13 @@ def _beta(env, store):
 
 
 def _field_lookup(env, store):
-    obj = _bare(env["o"])
+    obj = untagged(env["o"])
     want = env["name"].value
     assert isinstance(obj, Node) and obj.label == "Obj"
-    fields = _bare(obj.children[0])
+    fields = untagged(obj.children[0])
     for field in fields.items:
-        bf = _bare(field)
-        fname = _bare(bf.children[0])
+        bf = untagged(field)
+        fname = untagged(bf.children[0])
         if isinstance(fname, Const) and fname.value == want:
             return bf.children[1]
     raise StuckError(f"field {want!r} not found in object")
@@ -211,7 +205,7 @@ def _field_lookup(env, store):
 def _bracket_builtin(env, store):
     receiver = env["r"]
     name = env["name"].value
-    bare = _bare(receiver)
+    bare = untagged(receiver)
     if isinstance(bare, Const):
         v = bare.value
         if isinstance(v, bool):
@@ -250,10 +244,10 @@ def _bracket_builtin(env, store):
 
 
 def _apply_method(env, store):
-    method = _bare(env["m"])
-    name = _bare(method.children[0]).value
-    receiver = _bare(method.children[1])
-    args = _bare(env["args"])
+    method = untagged(env["m"])
+    name = untagged(method.children[0]).value
+    receiver = untagged(method.children[1])
+    args = untagged(env["args"])
     assert isinstance(args, PList)
     if name == "_not":
         if args.items:
@@ -261,7 +255,7 @@ def _apply_method(env, store):
         return Const(not receiver.value)
     if len(args.items) != 1:
         raise StuckError(f"{name} takes exactly one argument")
-    other = _bare(args.items[0])
+    other = untagged(args.items[0])
     if not isinstance(other, Const):
         raise StuckError(f"{name}: expected an atomic argument")
     a, b = receiver.value, other.value
@@ -277,22 +271,22 @@ def _apply_method(env, store):
 
 
 def _apply_link(env, store):
-    args = _bare(env["args"])
+    args = untagged(env["args"])
     if len(args.items) != 2:
         raise StuckError("list.link takes exactly two arguments")
     return Node("ListLink", (args.items[0], args.items[1]))
 
 
 def _apply_match(env, store):
-    match_fn = _bare(env["m"])
-    scrutinee = _bare(match_fn.children[0])
-    args = _bare(env["args"])
+    match_fn = untagged(env["m"])
+    scrutinee = untagged(match_fn.children[0])
+    args = untagged(env["args"])
     if len(args.items) != 2:
         raise StuckError("_match takes a branch object and an else thunk")
     branches, otherwise = args.items
     if scrutinee.label == "Data":
-        tag = _bare(scrutinee.children[0]).value
-        fields = tuple(_bare(scrutinee.children[1]).items)
+        tag = untagged(scrutinee.children[0]).value
+        fields = tuple(untagged(scrutinee.children[1]).items)
     elif scrutinee.label == "ListEmpty":
         tag, fields = "empty", ()
     else:
@@ -305,13 +299,13 @@ def _apply_match(env, store):
 
 
 def _lookup_optional(obj, want):
-    bare = _bare(obj)
+    bare = untagged(obj)
     if not (isinstance(bare, Node) and bare.label == "Obj"):
         raise StuckError("_match: branches must be an object")
-    fields = _bare(bare.children[0])
+    fields = untagged(bare.children[0])
     for field in fields.items:
-        bf = _bare(field)
-        if _bare(bf.children[0]) == Const(want):
+        bf = untagged(field)
+        if untagged(bf.children[0]) == Const(want):
             return bf.children[1]
     return None
 
@@ -418,7 +412,7 @@ def _rules():
 
 
 def _apply_dispatch(env, store):
-    fn = _bare(env["m"])
+    fn = untagged(env["m"])
     if isinstance(fn, Node):
         if fn.label == "Method":
             return _apply_method(env, store)
@@ -430,7 +424,7 @@ def _apply_dispatch(env, store):
 
 
 def _bracket_dispatch(env, store):
-    obj = _bare(env["o"])
+    obj = untagged(env["o"])
     if isinstance(obj, Node) and obj.label == "Obj":
         return _field_lookup(env, store)
     return _bracket_builtin({"r": env["o"], "name": env["name"]}, store)
@@ -442,7 +436,7 @@ class PyretSemantics(ReductionSemantics):
     still the answer)."""
 
     def step(self, state):
-        bare = _bare(state.term)
+        bare = untagged(state.term)
         if isinstance(bare, Node) and bare.label == "Error":
             return []  # raised errors are final states
         successors = super().step(state)

@@ -12,7 +12,9 @@ A parser for the Pyret subset the paper's case study exercises::
 
 and a pretty-printer that renders terms the way the paper prints them
 (``cases(List) [1, 2]: | empty() => 0 | ... end``, ``<func>`` for
-resolved functionals, ``[1, 2]`` for list values).
+resolved functionals, ``[1, 2]`` for list values).  The printer reads
+through tags as it goes, so a tagged core term prints in one pass,
+exactly as its tag-free copy would.
 
 Parsing produces *surface* terms full of the Figure 5 sugar nodes
 (FunDecl, Cases, CasesElse, IfE, When, For, Op, Not, Paren, LeftApp,
@@ -26,7 +28,7 @@ import re
 from typing import List, Optional
 
 from repro.core.errors import ParseError
-from repro.core.terms import Const, Node, Pattern, PList, Tagged, strip_tags
+from repro.core.terms import Const, Node, Pattern, PList, untagged
 
 __all__ = ["parse_program", "pretty"]
 
@@ -496,45 +498,65 @@ def parse_program(source: str) -> Pattern:
 # --- pretty printing ---------------------------------------------------
 
 def pretty(term: Pattern) -> str:
-    """Render a (possibly tagged) term the way the paper prints Pyret."""
-    return _pp(strip_tags(term))
+    """Render a (possibly tagged) term the way the paper prints Pyret.
+
+    Tags are read through, never copied away: the text is exactly what
+    the term's tag-free copy would print.
+    """
+    return _pp(term)
 
 
 def _pp(t: Pattern) -> str:
-    if isinstance(t, Const):
+    t = untagged(t)
+    cls = t.__class__
+    if cls is Node:
+        printer = _PP.get(t.label)
+        if printer is not None:
+            return printer(t)
+        return f"{t.label.lower()}({_pp_all(t.children)})"
+    if cls is Const:
         v = t.value
         if isinstance(v, bool):
             return "true" if v else "false"
         if isinstance(v, str):
-            return '"' + v.replace('"', '\\"') + '"'
-        if isinstance(v, float) and v.is_integer():
-            return str(v)
+            return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
         return str(v)
-    if isinstance(t, PList):
-        return "[" + ", ".join(_pp(c) for c in t.items) + "]"
-    if not isinstance(t, Node):
-        return str(t)
-    printer = _PP.get(t.label)
-    if printer is not None:
-        return printer(t)
-    inner = ", ".join(_pp(c) for c in t.children)
-    return f"{t.label.lower()}({inner})"
+    if cls is PList:
+        return "[" + _pp_all(t.items) + "]"
+    return str(t)
+
+
+def _pp_all(parts) -> str:
+    return ", ".join(map(_pp, parts))
+
+
+def _value(t: Pattern):
+    """The atom of a (possibly tagged) constant child."""
+    return untagged(t).value
+
+
+def _items(t: Pattern):
+    """The items of a (possibly tagged) list child."""
+    return untagged(t).items
+
+
+def _op_symbol(t) -> str:
+    name = _value(t.children[0])
+    return _METHOD_OPS.get(name, name)
 
 
 def _pp_params(plist) -> str:
     names = []
-    for p in plist.items:
-        names.append(p.value if isinstance(p, Const) else _pp(p))
+    for p in map(untagged, _items(plist)):
+        names.append(p.value if p.__class__ is Const else _pp(p))
     return ", ".join(names)
 
 
 def _pp_list_value(t) -> str:
     items = []
-    while isinstance(t, Node) and t.label == "ListLink":
+    while t.__class__ is Node and t.label == "ListLink":
         items.append(_pp(t.children[0]))
-        t = t.children[1]
-        while isinstance(t, Tagged):
-            t = t.term
+        t = untagged(t.children[1])
     return "[" + ", ".join(items) + "]"
 
 
@@ -551,15 +573,15 @@ def _register(label):
 
 @_register("Id")
 def _pp_id(t):
-    return t.children[0].value
+    return _value(t.children[0])
 
 
 @_register("App")
 def _pp_app(t):
-    args = ", ".join(_pp(a) for a in t.children[1].items)
-    fn = t.children[0]
+    args = _pp_all(_items(t.children[1]))
+    fn = untagged(t.children[0])
     fn_str = _pp(fn)
-    if isinstance(fn, Node) and fn.label in ("Lam", "Method", "MatchFn"):
+    if fn.__class__ is Node and fn.label in ("Lam", "Method", "MatchFn"):
         fn_str = f"({fn_str})" if fn.label == "Lam" else fn_str
     return f"{fn_str}({args})"
 
@@ -585,18 +607,18 @@ def _pp_bracket(t):
 
 @_register("Dot")
 def _pp_dot(t):
-    return f"{_pp(t.children[0])}.{t.children[1].value}"
+    return f"{_pp(t.children[0])}.{_value(t.children[1])}"
 
 
 @_register("Colon")
 def _pp_colon(t):
-    return f"{_pp(t.children[0])}:{t.children[1].value}"
+    return f"{_pp(t.children[0])}:{_value(t.children[1])}"
 
 
 @_register("Let")
 def _pp_let(t):
     return (
-        f"{t.children[0].value} = {_pp(t.children[1])} "
+        f"{_value(t.children[0])} = {_pp(t.children[1])} "
         f"{_pp(t.children[2])}"
     )
 
@@ -609,7 +631,7 @@ def _pp_letdecl(t):
 @_register("DefRec")
 def _pp_defrec(t):
     return (
-        f"rec {t.children[0].value} = {_pp(t.children[1])} "
+        f"rec {_value(t.children[0])} = {_pp(t.children[1])} "
         f"{_pp(t.children[2])}"
     )
 
@@ -617,14 +639,14 @@ def _pp_defrec(t):
 @_register("FunDecl")
 def _pp_fundecl(t):
     return (
-        f"fun {t.children[0].value}({_pp_params(t.children[1])}): "
+        f"fun {_value(t.children[0])}({_pp_params(t.children[1])}): "
         f"{_pp(t.children[2])} end {_pp(t.children[3])}"
     )
 
 
 @_register("Block")
 def _pp_block(t):
-    return " ".join(_pp(c) for c in t.children[0].items)
+    return " ".join(map(_pp, _items(t.children[0])))
 
 
 @_register("If")
@@ -638,7 +660,7 @@ def _pp_if(t):
 @_register("IfE")
 def _pp_ife(t):
     parts = []
-    for i, clause in enumerate(t.children[0].items):
+    for i, clause in enumerate(map(untagged, _items(t.children[0]))):
         kw = "if" if i == 0 else "else if"
         parts.append(f"{kw} {_pp(clause.children[0])}: {_pp(clause.children[1])}")
     parts.append(f"else: {_pp(t.children[1])}")
@@ -648,7 +670,7 @@ def _pp_ife(t):
 @_register("IfNoElse")
 def _pp_ifnoelse(t):
     parts = []
-    for i, clause in enumerate(t.children[0].items):
+    for i, clause in enumerate(map(untagged, _items(t.children[0]))):
         kw = "if" if i == 0 else "else if"
         parts.append(f"{kw} {_pp(clause.children[0])}: {_pp(clause.children[1])}")
     return " ".join(parts) + " end"
@@ -661,17 +683,17 @@ def _pp_when(t):
 
 @_register("Cases")
 def _pp_cases(t):
-    branches = " ".join(_pp(b) for b in t.children[2].items)
+    branches = " ".join(map(_pp, _items(t.children[2])))
     return (
-        f"cases({t.children[0].value}) {_pp(t.children[1])}: {branches} end"
+        f"cases({_value(t.children[0])}) {_pp(t.children[1])}: {branches} end"
     )
 
 
 @_register("CasesElse")
 def _pp_cases_else(t):
-    branches = " ".join(_pp(b) for b in t.children[2].items)
+    branches = " ".join(map(_pp, _items(t.children[2])))
     return (
-        f"cases({t.children[0].value}) {_pp(t.children[1])}: {branches} "
+        f"cases({_value(t.children[0])}) {_pp(t.children[1])}: {branches} "
         f"| else => {_pp(t.children[3])} end"
     )
 
@@ -679,37 +701,37 @@ def _pp_cases_else(t):
 @_register("Branch")
 def _pp_branch(t):
     return (
-        f"| {t.children[0].value}({_pp_params(t.children[1])}) => "
+        f"| {_value(t.children[0])}({_pp_params(t.children[1])}) => "
         f"{_pp(t.children[2])}"
     )
 
 
 @_register("For")
 def _pp_for(t):
-    binds = ", ".join(_pp(b) for b in t.children[1].items)
+    binds = _pp_all(_items(t.children[1]))
     return f"for {_pp(t.children[0])}({binds}): {_pp(t.children[2])} end"
 
 
 @_register("FromBind")
 def _pp_from(t):
-    return f"{t.children[0].value} from {_pp(t.children[1])}"
+    return f"{_value(t.children[0])} from {_pp(t.children[1])}"
 
 
 @_register("Op")
 def _pp_op(t):
-    op = _METHOD_OPS.get(t.children[0].value, t.children[0].value)
+    op = _op_symbol(t)
     return f"{_pp(t.children[1])} {op} {_pp(t.children[2])}"
 
 
 @_register("OpCurryL")
 def _pp_opcurryl(t):
-    op = _METHOD_OPS.get(t.children[0].value, t.children[0].value)
+    op = _op_symbol(t)
     return f"(_ {op} {_pp(t.children[1])})"
 
 
 @_register("OpCurryR")
 def _pp_opcurryr(t):
-    op = _METHOD_OPS.get(t.children[0].value, t.children[0].value)
+    op = _op_symbol(t)
     return f"({_pp(t.children[1])} {op} _)"
 
 
@@ -730,7 +752,7 @@ def _pp_curryapp1(t):
 
 @_register("LeftApp")
 def _pp_leftapp(t):
-    args = ", ".join(_pp(a) for a in t.children[2].items)
+    args = _pp_all(_items(t.children[2]))
     return f"{_pp(t.children[0])} ^ {_pp(t.children[1])}({args})"
 
 
@@ -756,21 +778,21 @@ def _pp_paren(t):
 
 @_register("ListLit")
 def _pp_listlit(t):
-    return "[" + ", ".join(_pp(c) for c in t.children[0].items) + "]"
+    return "[" + _pp_all(_items(t.children[0])) + "]"
 
 
 @_register("Obj")
 def _pp_obj(t):
     fields = ", ".join(
-        f'"{f.children[0].value}": {_pp(f.children[1])}'
-        for f in t.children[0].items
+        f'"{_value(f.children[0])}": {_pp(f.children[1])}'
+        for f in map(untagged, _items(t.children[0]))
     )
     return "{" + fields + "}"
 
 
 @_register("Field")
 def _pp_field(t):
-    return f'"{t.children[0].value}": {_pp(t.children[1])}'
+    return f'"{_value(t.children[0])}": {_pp(t.children[1])}'
 
 
 @_register("Raise")
@@ -811,19 +833,19 @@ def _pp_listlink(t):
 @_register("Datatype")
 def _pp_datatype(t):
     variants = " ".join(
-        f"| {v.children[0].value}({_pp_params(v.children[1])})"
-        for v in t.children[1].items
+        f"| {_value(v.children[0])}({_pp_params(v.children[1])})"
+        for v in map(untagged, _items(t.children[1]))
     )
     return (
-        f"datatype {t.children[0].value}: {variants} end "
+        f"datatype {_value(t.children[0])}: {variants} end "
         f"{_pp(t.children[2])}"
     )
 
 
 @_register("Data")
 def _pp_data(t):
-    fields = ", ".join(_pp(f) for f in t.children[1].items)
-    return f"{t.children[0].value}({fields})"
+    fields = _pp_all(_items(t.children[1]))
+    return f"{_value(t.children[0])}({fields})"
 
 
 @_register("Method")

@@ -17,20 +17,14 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.terms import Const, Node, Pattern, PList, Tagged
+from repro.core.terms import Const, Node, Pattern, PList, untagged
 
 __all__ = ["anf", "is_anf", "is_trivial"]
 
 
-def _bare(t: Pattern) -> Pattern:
-    while isinstance(t, Tagged):
-        t = t.term
-    return t
-
-
 def is_trivial(t: Pattern) -> bool:
     """Constants, variables, and lambdas need no naming."""
-    b = _bare(t)
+    b = untagged(t)
     if isinstance(b, Const):
         return True
     return isinstance(b, Node) and b.label in ("Id", "Lam", "Unit", "Undefined")
@@ -61,7 +55,7 @@ def anf(term: Pattern) -> Pattern:
     def norm_into(t: Pattern, bindings) -> Pattern:
         """Produce a trivial-or-head expression, emitting bindings for
         compound subterms."""
-        b = _bare(t)
+        b = untagged(t)
         if is_trivial(b):
             if isinstance(b, Node) and b.label == "Lam":
                 return Node("Lam", (b.children[0], norm(b.children[1])))
@@ -77,11 +71,11 @@ def anf(term: Pattern) -> Pattern:
                 "If", (cond, norm(b.children[1]), norm(b.children[2]))
             )
         if b.label == "Op":
-            args = _bare(b.children[1])
+            args = untagged(b.children[1])
             atoms = tuple(atomize(a, bindings) for a in args.items)
             return Node("Op", (b.children[0], PList(atoms)))
         if b.label == "Seq":
-            body = _bare(b.children[0])
+            body = untagged(b.children[0])
             exprs = tuple(norm(e) for e in body.items)
             return Node("Seq", (PList(exprs),))
         # Anything else passes through with normalized children.
@@ -89,7 +83,7 @@ def anf(term: Pattern) -> Pattern:
 
     def atomize(t: Pattern, bindings) -> Pattern:
         """Force ``t`` into a trivial expression, binding it if needed."""
-        b = _bare(t)
+        b = untagged(t)
         if is_trivial(b):
             return norm_into(b, bindings)
         head = norm_into(b, bindings)
@@ -102,7 +96,7 @@ def anf(term: Pattern) -> Pattern:
 
 def is_anf(term: Pattern) -> bool:
     """Is ``term`` in A-normal form (all redex operands trivial)?"""
-    b = _bare(term)
+    b = untagged(term)
     if is_trivial(b):
         if isinstance(b, Node) and b.label == "Lam":
             return is_anf(b.children[1])
@@ -118,15 +112,15 @@ def is_anf(term: Pattern) -> bool:
             and is_anf(b.children[2])
         )
     if b.label == "Op":
-        args = _bare(b.children[1])
+        args = untagged(b.children[1])
         return all(is_trivial(a) for a in args.items)
     if b.label == "Seq":
-        body = _bare(b.children[0])
+        body = untagged(b.children[0])
         return all(is_anf(e) for e in body.items)
     if b.label == "Let":
-        bindings = _bare(b.children[0])
+        bindings = untagged(b.children[0])
         for binding in bindings.items:
-            bb = _bare(binding)
+            bb = untagged(binding)
             if not is_anf(bb.children[1]):
                 return False
         return is_anf(b.children[1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import StuckError
-from repro.core.terms import Const, Node, Pattern, Tagged
+from repro.core.terms import Const, Node, Pattern, untagged
 
 __all__ = ["Closure", "evaluate", "Value"]
 
@@ -66,12 +66,6 @@ def _lookup(env: Env, name: str):
     raise StuckError(f"unbound variable {name!r}")
 
 
-def _bare(t: Pattern) -> Pattern:
-    while isinstance(t, Tagged):
-        t = t.term
-    return t
-
-
 def evaluate(
     term: Pattern,
     env: Env = (),
@@ -86,16 +80,16 @@ def evaluate(
     """
     if hook is not None:
         hook()
-    t = _bare(term)
+    t = untagged(term)
     if isinstance(t, Const):
         return t.value
     if not isinstance(t, Node):
         raise StuckError(f"cannot evaluate {t!r}")
     label = t.label
     if label == "Id":
-        return _lookup(env, _bare(t.children[0]).value)
+        return _lookup(env, untagged(t.children[0]).value)
     if label == "Lam":
-        return Closure(_bare(t.children[0]).value, t.children[1], env)
+        return Closure(untagged(t.children[0]).value, t.children[1], env)
     if label == "App":
         fn = evaluate(t.children[0], env, hook)
         arg = evaluate(t.children[1], env, hook)
@@ -110,15 +104,15 @@ def evaluate(
             return evaluate(t.children[2], env, hook)
         raise StuckError(f"if: not a boolean: {cond!r}")
     if label == "Seq":
-        body = _bare(t.children[0])
+        body = untagged(t.children[0])
         result = None
         for expr in body.items:
             result = evaluate(expr, env, hook)
         return result
     if label == "Op":
-        name = _bare(t.children[0]).value
+        name = untagged(t.children[0]).value
         args = [
-            evaluate(a, env, hook) for a in _bare(t.children[1]).items
+            evaluate(a, env, hook) for a in untagged(t.children[1]).items
         ]
         try:
             fn = _PRIM_TABLE[name]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.errors import StuckError
-from repro.core.terms import Const, Node, Pattern, PList, Tagged
-from repro.stepper.bigstep import Closure, Value, _PRIM_TABLE, _bare, _lookup
+from repro.core.terms import Const, Node, Pattern, PList, Tagged, untagged
+from repro.stepper.bigstep import Closure, Value, _PRIM_TABLE, _lookup
 
 __all__ = [
     "Frame",
@@ -155,16 +155,16 @@ class InstrumentedEvaluator:
             self.steps += 1
             if self.reconstruct:
                 self._pause(term)
-        t = _bare(term)
+        t = untagged(term)
         if isinstance(t, Const):
             return t.value
         if not isinstance(t, Node):
             raise StuckError(f"cannot evaluate {t!r}")
         label = t.label
         if label == "Id":
-            return _lookup(env, _bare(t.children[0]).value)
+            return _lookup(env, untagged(t.children[0]).value)
         if label == "Lam":
-            return Closure(_bare(t.children[0]).value, t.children[1], env)
+            return Closure(untagged(t.children[0]).value, t.children[1], env)
         if label == "App":
             if stack is not None:
                 stack.push("app-fn", t.children[1])
@@ -190,15 +190,15 @@ class InstrumentedEvaluator:
                 return self.evaluate(t.children[2], env)
             raise StuckError(f"if: not a boolean: {cond!r}")
         if label == "Seq":
-            body = _bare(t.children[0])
+            body = untagged(t.children[0])
             result = None
             for expr in body.items:
                 result = self.evaluate(expr, env)
             return result
         if label == "Op":
-            name = _bare(t.children[0]).value
+            name = untagged(t.children[0]).value
             args = []
-            arg_terms = list(_bare(t.children[1]).items)
+            arg_terms = list(untagged(t.children[1]).items)
             for i, a in enumerate(arg_terms):
                 if stack is not None:
                     stack.push(

@@ -54,6 +54,19 @@ class TestSubst:
         with pytest.raises(SubstitutionError):
             subst({"x": Const(1)}, p)
 
+    def test_bare_ellipsis_variable_unbound_raises(self):
+        with pytest.raises(SubstitutionError, match="unbound ellipsis variable"):
+            subst({}, PList((Const(0),), PVar("x")))
+
+    def test_bare_ellipsis_variable_depth_mismatch_raises(self):
+        with pytest.raises(SubstitutionError, match="ellipsis depth mismatch"):
+            subst({"x": Node("Foo", ())}, PList((), PVar("x")))
+
+    def test_bare_ellipsis_variable_extends_with_items(self):
+        lb = ListBinding((Const(1), ListBinding((Const(2),))))
+        out = subst({"x": lb}, PList((Const(0),), PVar("x")))
+        assert out == PList((Const(0), Const(1), PList((Const(2),))))
+
     def test_ellipsis_without_variables_raises(self):
         # The paper's (3 ...) example: repetition count undetermined.
         p = PList((), Const(3))

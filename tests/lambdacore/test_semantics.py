@@ -112,6 +112,29 @@ class TestMutation:
         assert "setcell" in pretty(states[1].term)
         assert states[-1].term == num(2)
 
+    def test_shadowed_assignment_substitutes_by_value(self, sem):
+        # The inner lambda rebinds x, so the set! is not of the parameter.
+        states = sem.trace(
+            parse_program("((lambda (x) ((lambda (x) (set! x 2)) x)) 1)")
+        )
+        assert pretty(states[1].term) == "((lambda (x) (set! x 2)) 1)"
+
+    def test_assignment_under_tags_is_found(self, sem):
+        body = Tagged(BodyTag(), parse_program("(begin (set! x 2) x)"))
+        term = app(Node("Lam", (Const("x"), body)), num(1))
+        states = sem.trace(term)
+        assert "setcell" in pretty(states[1].term)
+        assert states[-1].term == num(2)
+
+    def test_substitute_signals_assignment(self):
+        from repro.lambdacore.substitute import Assigned, substitute
+
+        body = parse_program("(begin (set! x 2) x)")
+        with pytest.raises(Assigned):
+            substitute(body, "x", num(1))
+        shadowed = parse_program("(lambda (x) (set! x 2))")
+        assert substitute(shadowed, "x", num(1)) is shadowed
+
     def test_set_returns_void(self, sem):
         assert run(sem, "((lambda (x) (set! x 9)) 1)") == "<void>"
 
