@@ -2,11 +2,11 @@
 
 Resugaring is deterministic: the surface trace of a (program, ruleset,
 engine-config) triple never changes.  This package makes that pay across
-processes and runs — a :class:`LiftCache` directory holds recorded lift
-event streams plus :class:`~repro.core.incremental.ResugarCache` memo
-snapshots, keyed by content digests so a stale or wrong hit is
-structurally impossible (see :mod:`repro.cache.keys` for the key schema
-and :mod:`repro.cache.store` for the corruption contract).
+processes and runs — a :class:`LiftCache` directory holds the recorded
+event streams of complete lifts, keyed by content digests so a stale or
+wrong hit is structurally impossible (see :mod:`repro.cache.keys` for
+the key schema and :mod:`repro.cache.store` for the corruption
+contract).  A miss runs the cacheless lift and stores its stream.
 
 Entry points: pass ``cache=`` to the :class:`~repro.confection.Confection`
 constructor or to the :mod:`repro.engine.stream` generators, ``--cache
@@ -24,14 +24,13 @@ from repro.cache.keys import (
     stepper_fingerprint,
     term_digest,
 )
-from repro.cache.lift import DEFAULT_MAX_MEMO_ENTRIES, LiftCache
+from repro.cache.lift import LiftCache
 from repro.cache.store import FORMAT_VERSION, MAGIC, CacheStore
 
 __all__ = [
     "KEY_SCHEMA",
     "MAGIC",
     "FORMAT_VERSION",
-    "DEFAULT_MAX_MEMO_ENTRIES",
     "CacheStore",
     "LiftCache",
     "engine_fingerprint",

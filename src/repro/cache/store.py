@@ -4,7 +4,9 @@ One :class:`CacheStore` owns a directory tree ``root/<tier>/<aa>/<key>.bin``
 (two-hex-char sharding keeps directories small).  Entries are immutable:
 a key is a content digest (:mod:`repro.cache.keys`), so two writers for
 the same key are writing the same bytes, and the *only* interesting
-failure mode is a damaged or mismatched file.
+failure mode is a damaged or mismatched file.  Entries leave only by
+quarantine or by :meth:`CacheStore.trim_shard`'s eviction, and a reader
+that loses that race sees a miss.
 
 Every read therefore re-verifies the whole entry before trusting a byte
 of it.  The file format is::
@@ -173,6 +175,31 @@ class CacheStore:
         return True
 
     # --- maintenance -------------------------------------------------
+
+    def trim_shard(self, tier: str, key: str, keep: int) -> int:
+        """Evict the oldest-mtime entries of ``key``'s shard directory
+        until at most ``keep`` remain, never ``key`` itself; the number
+        evicted.  O(shard): only that one directory is listed.  An entry
+        that vanishes meanwhile (a concurrent trim) counts as evicted."""
+        path = self.path_for(tier, key)
+        aged = []
+        try:
+            with os.scandir(path.parent) as entries:
+                for entry in entries:
+                    if entry.name.endswith(".bin") and entry.name != path.name:
+                        try:
+                            aged.append((entry.stat().st_mtime_ns, entry.path))
+                        except FileNotFoundError:
+                            continue
+        except OSError:
+            return 0
+        excess = len(aged) + 1 - keep
+        if excess <= 0:
+            return 0
+        aged.sort()
+        for _, victim in aged[:excess]:
+            self._quarantine(Path(victim))
+        return excess
 
     def scan(self) -> Dict[str, Dict[str, int]]:
         """Walk the store on disk: per-tier entry counts and byte

@@ -152,70 +152,6 @@ class ResugarCache:
                 "fresh cache instead"
             )
 
-    # --- memo persistence (repro.cache) -------------------------------
-
-    def export_memo(self) -> Dict[str, list]:
-        """The memo tables as a picklable snapshot.
-
-        Every entry is a pure function of this cache's rulelist, so a
-        snapshot taken in one process is valid in any other process
-        running an *equal* rulelist (the persistent cache keys memo
-        blobs on the ruleset fingerprint).  ``_FAIL`` is a module-
-        private sentinel with no cross-process identity; it travels as
-        ``None``, which a ``_raw`` value can never legitimately be.
-        ``_fail_info`` (observability-only provenance) stays behind.
-        """
-        return {
-            "raw": [
-                (k, None if v is _FAIL else v) for k, v in self._raw.items()
-            ],
-            "bad": list(self._bad.items()),
-            "strip": list(self._strip.items()),
-            "desugar": list(self._desugar.items()),
-            "skel": list(self._skel.items()),
-        }
-
-    def hydrate_memo(self, exported: Dict[str, list]) -> int:
-        """Preload the memo tables from :meth:`export_memo` output.
-
-        Terms are re-interned against the *current* table (unpickling
-        already did this for snapshots that crossed a process boundary;
-        interning an interned term is a no-op), so identity-keyed
-        lookups hit.  Existing entries win over hydrated ones.  Returns
-        the number of entries added.
-        """
-        self._check_generation()
-        added = 0
-        raw = self._raw
-        for k, v in exported.get("raw", ()):
-            k = _intern(k)
-            if k not in raw:
-                raw[k] = _FAIL if v is None else _intern(v)
-                added += 1
-        for k, v in exported.get("bad", ()):
-            k = _intern(k)
-            if k not in self._bad:
-                self._bad[k] = bool(v)
-                added += 1
-        for name in ("strip", "desugar", "skel"):
-            table = getattr(self, f"_{name}")
-            for k, v in exported.get(name, ()):
-                k = _intern(k)
-                if k not in table:
-                    table[k] = _intern(v)
-                    added += 1
-        return added
-
-    def memo_size(self) -> int:
-        """Total entries across every memo table (persistence caps)."""
-        return (
-            len(self._raw)
-            + len(self._bad)
-            + len(self._strip)
-            + len(self._desugar)
-            + len(self._skel)
-        )
-
     # --- resugaring --------------------------------------------------
 
     def resugar(self, core_term: Pattern) -> Optional[Pattern]:

@@ -23,10 +23,10 @@ the config's key fields, never on its budgets: only complete
 through the cold loop's own budget gate, so it cuts where and as a cold
 run would.  The wall clock runs against the replay: ``max_seconds=0``
 cuts at index 0, a positive one gets the complete recording.  A hit
-never desugars, steps or resugars.  Incremental cold runs also hydrate
-their :class:`~repro.core.incremental.ResugarCache` from the memo tier
-and persist it back before the terminal event.  Lifts through an
-unidentifiable stepper run as if no cache were attached.
+never desugars, steps or resugars.  A miss runs exactly the cacheless
+loop, with its own fresh :class:`~repro.core.incremental.ResugarCache`,
+and offers the complete stream to the cache once it halts.  Lifts
+through an unidentifiable stepper run as if no cache were attached.
 
 ``should_stop`` is a *cooperative cancellation hook*: a zero-argument
 callable polled once per core step.  When it returns true the generator
@@ -116,10 +116,10 @@ class _Budget:
             None if self.max_seconds is None else monotonic() + self.max_seconds
         )
 
-    def check(self, index, stats, span=None, persist_memo=None):
+    def check(self, index, stats, span=None):
         """``None`` while core index ``index`` may still run; otherwise
         raise (``"raise"``) or return the terminal ``BudgetExhausted``
-        (``"truncate"``) after marking ``span`` and persisting the memo."""
+        (``"truncate"``) after marking ``span``."""
         if index >= self.stop_at:
             kind, limit = self.kind, self.limit
         elif self.deadline is not None and monotonic() >= self.deadline:
@@ -140,8 +140,6 @@ class _Budget:
             raise ReproError(message)
         if span is not None:
             span.attrs["truncated"] = kind
-        if persist_memo is not None:
-            persist_memo()
         return BudgetExhausted(index, stats, kind, limit)
 
 
@@ -275,8 +273,7 @@ def lift_events(
         with deep_recursion(), _span("lift", **attrs) as lift_span:
             try:
                 body = _drive(
-                    rules, stepper, surface_term, config, lift_span,
-                    should_stop, cache if config.incremental else None,
+                    rules, stepper, surface_term, config, lift_span, should_stop
                 )
                 if cache_key is not None:
                     yield from _recording(body, cache, cache_key)
@@ -290,30 +287,16 @@ def lift_events(
             _prov.end_run(run)
 
 
-def _drive(
-    rules, stepper, surface_term, config, lift_span, should_stop,
-    lift_cache=None,
-):
+def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
     """The lifting loop: one frontier of ``(state, parent node id)``
     pairs, explored breadth-first; a sequence's never exceeds one."""
     tree = config.mode == "tree"
     cache = ResugarCache(rules) if config.incremental else None
     stats = cache.stats if cache else None
     # Desugar once: through the cache, the run's own desugar fills its
-    # memo, so the step-0 Emulation check is an identity hit.  The memo
-    # tier is hydrated only afterwards, so the program's expansions (and
-    # their provenance events) show whatever the tier holds.
+    # memo, so the step-0 Emulation check is an identity hit.
     core = cache.desugar(surface_term) if cache else desugar(rules, surface_term)
-    if cache is not None and lift_cache is not None:
-        lift_cache.hydrate(cache)
     frontier = deque([(stepper.load(core), None)])
-
-    def persist_memo():
-        # Before the terminal yield, not after: a consumer that stops
-        # at the terminal event never resumes the generator.
-        if cache is not None and lift_cache is not None:
-            lift_cache.persist_memo(cache)
-
     budget = _Budget(config)
     check_emulation, dedup = config.check_emulation, config.dedup
     last_emitted: Optional[Pattern] = None
@@ -364,7 +347,7 @@ def _drive(
             if lift_span is not None:
                 lift_span.attrs["cancelled"] = True
             return
-        cut = budget.check(index, stats, lift_span, persist_memo)
+        cut = budget.check(index, stats, lift_span)
         if cut is not None:
             yield cut
             return
@@ -404,7 +387,6 @@ def _drive(
         index += 1
     if lift_span is not None:
         lift_span.attrs["core_nodes" if tree else "core_steps"] = index
-    persist_memo()
     yield Halted(index, stats)
 
 

@@ -69,7 +69,6 @@ name                          kind       meaning
 ``cache.lift_misses``         counter    whole-lift lookups that came up cold
 ``cache.stores``              counter    entries written to a persistent store
 ``cache.corrupt``             counter    damaged cache entries detected+evicted
-``cache.memo_hydrated``       counter    ResugarCache memo entries preloaded
 ``cache.errors``              counter    cache I/O failures contained as misses
 ============================  =========  =====================================
 
@@ -422,7 +421,6 @@ CACHE_LIFT_HITS = REGISTRY.counter("cache.lift_hits")
 CACHE_LIFT_MISSES = REGISTRY.counter("cache.lift_misses")
 CACHE_STORES = REGISTRY.counter("cache.stores")
 CACHE_CORRUPT = REGISTRY.counter("cache.corrupt")
-CACHE_MEMO_HYDRATED = REGISTRY.counter("cache.memo_hydrated")
 CACHE_ERRORS = REGISTRY.counter("cache.errors")
 SERVER_TTFS_SECONDS = REGISTRY.histogram(
     "server.ttfs_seconds", SERVER_TIME_BUCKETS

@@ -141,7 +141,7 @@ class ReproServer:
             from repro.cache import LiftCache
 
             # One handle per server: in-process sessions share it (and
-            # its hydration bookkeeping); batch workers re-open their
+            # its hit/miss counters); batch workers re-open their
             # own against the same directory (only the path crosses the
             # process boundary).
             self._lift_cache = LiftCache(self.cache_dir)

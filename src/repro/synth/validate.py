@@ -16,7 +16,7 @@ construction once per worker rather than once per program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.engine.events import BatchLifted
 from repro.parallel.jobs import LiftJob

@@ -10,13 +10,12 @@ recomputes the correct answer (repopulating the entry).
 
 from __future__ import annotations
 
-import pickle
 import struct
 
 import pytest
 
 from repro.cache import CacheStore, FORMAT_VERSION, LiftCache, MAGIC
-from repro.cache.lift import LIFT_TIER, MEMO_TIER
+from repro.cache.lift import LIFT_TIER
 from repro.confection import Confection
 from repro.engine.registry import get_backend
 
@@ -35,7 +34,7 @@ def _engine(backend, cache):
 
 
 def _warm_entry(tmp_path, backend):
-    """Run one lift cold so the store holds a real lift + memo entry;
+    """Run one lift cold so the store holds a real lift entry;
     returns (cache, expected rendered trace, lift entry path)."""
     cache = LiftCache(tmp_path)
     engine = _engine(backend, cache)
@@ -136,30 +135,6 @@ class TestDamagedLiftEntries:
         assert not path.exists()
 
 
-class TestDamagedMemoEntries:
-    """Memo blobs are only read when the lift tier misses (a whole-lift
-    hit replays without resugaring at all), so each test deletes the
-    lift entry to force the relift through hydration."""
-
-    def test_garbage_memo_blob_hydrates_nothing(self, tmp_path, backend):
-        _, rendered, lift_path = _warm_entry(tmp_path, backend)
-        memo_paths = list((tmp_path / MEMO_TIER).rglob("*.bin"))
-        assert len(memo_paths) == 1
-        memo_paths[0].write_bytes(b"\x13garbage")
-        lift_path.unlink()
-        _assert_recovers(tmp_path, backend, rendered)
-
-    def test_wrong_shape_memo_blob_hydrates_nothing(self, tmp_path, backend):
-        cache, rendered, lift_path = _warm_entry(tmp_path, backend)
-        rules = _engine(backend, None).rules
-        key = cache.memo_key(rules)
-        # Checksummed, unpicklable-to-tables payload: a dict whose
-        # "raw" slot cannot be iterated as (key, value) pairs.
-        assert cache.store.put(MEMO_TIER, key, {"raw": 42})
-        lift_path.unlink()
-        _assert_recovers(tmp_path, backend, rendered)
-
-
 class TestTornAndConcurrentWrites:
     def test_orphaned_tmp_file_is_invisible_and_cleared(
         self, tmp_path, backend
@@ -225,7 +200,6 @@ class TestWritePathContainment:
         root = tmp_path / "blocked"
         root.mkdir()
         (root / LIFT_TIER).write_bytes(b"not a directory")
-        (root / MEMO_TIER).write_bytes(b"not a directory")
         cache = LiftCache(root)
         engine = _engine(backend, cache)
         result = engine.lift(backend.parse(PROGRAM))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import LiftCache
 from repro.confection import Confection
 from repro.core import incremental
 from repro.core.desugar import desugar
@@ -57,38 +56,6 @@ def test_incremental_lift_emits_one_desugar_span():
     stats = lift_span["attrs"]["rule_stats"]
     (or_row,) = [row for key, row in stats.items() if key.endswith(":Or")]
     assert or_row["expansions"] == 2
-
-
-def _rule_stats(confection, program, **options):
-    collector = SpanCollector()
-    with Observability(sinks=[collector]):
-        confection.lift(program, **options)
-    (lift_span,) = [r for r in collector.records if r["name"] == "lift"]
-    return lift_span["attrs"]["rule_stats"]
-
-
-def test_a_warm_memo_tier_leaves_the_program_expansions_alone(tmp_path):
-    """The memo tier is hydrated after the program's desugar, so that
-    desugar reports the same per-rule expansions whether or not the tier
-    already holds the program.  (Emulation checking is off: its
-    expansions, like unexpansions, may be answered from the tier.)"""
-    program = parse_program("(or (not #t) (and #f #t))")
-    options = dict(check_emulation=False)
-
-    def expansions(confection):
-        stats = _rule_stats(confection, program, **options)
-        return {key: row["expansions"] for key, row in stats.items()}
-
-    expected = expansions(Confection(RULES, make_stepper()))
-    # Fill the memo tier through another engine config (a lift-tier miss
-    # for the config measured below) and check it now holds entries.
-    Confection(RULES, make_stepper(), cache=LiftCache(tmp_path)).lift(
-        program, stepper_mode="naive"
-    )
-    assert LiftCache(tmp_path).hydrate(ResugarCache(RULES)) > 0
-    cached = Confection(RULES, make_stepper(), cache=LiftCache(tmp_path))
-    assert expansions(cached) == expected
-    assert sum(expected.values()) == 3
 
 
 def test_fuel_counts_distinct_expansions_not_occurrences():

@@ -10,8 +10,6 @@ with the partial results already streamed.
 import multiprocessing
 import time
 
-import pytest
-
 from repro.engine.events import BatchLifted, JobError
 from repro.lambdacore import make_stepper, parse_program, pretty
 from repro.parallel import LiftJob, WarmPool, lift_corpus_stream

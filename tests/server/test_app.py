@@ -9,8 +9,6 @@ import json
 import socket
 import time
 
-import pytest
-
 from repro.server import ServerLimits
 from repro.server import client as wire
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine.registry import get_backend
 from repro.synth.fuzz import (
