@@ -34,10 +34,13 @@ REPEATS = 7
 
 # Counts per lift, pinned: a change that moves them changes how much
 # work a lift does, not what each call costs, and must say so here.
+# ``expand`` calls are the program's desugar alone (they were 201, 236
+# and 431): Emulation is decided inside the resugaring walk, which
+# re-desugars nothing, and the desugar asks only sugar-labelled nodes.
 COUNTS = {
-    "or_chain_40": (2, 201, 80),
-    "let_nest_24": (49, 236, 70),
-    "letrec_fact_10": (66, 431, 2),
+    "or_chain_40": (2, 80, 80),
+    "let_nest_24": (49, 24, 70),
+    "letrec_fact_10": (66, 2, 2),
 }
 
 

@@ -3,9 +3,10 @@
 Two deterministic counters pin the mechanism, next to the timing:
 
 * **Expansions per lift** on ``or_chain(40)``.  The lift's own desugar
-  runs through its :class:`~repro.core.incremental.ResugarCache`, so the
-  step-0 Emulation check is an identity hit: it expands nothing, and the
-  whole lift expands each head tag of the desugared program exactly once.
+  runs through its :class:`~repro.core.incremental.ResugarCache`, and
+  its Emulation checks are decided inside the resugaring walk: they
+  expand nothing, and the whole lift expands each head tag of the
+  desugared program exactly once.
 * **Intern-table work per core step** on ``let_nest(24)`` and
   ``letrec_fact(10)`` (:func:`repro.core.intern.intern_stats`, from an
   empty table).  Substitution returns untouched subterms as the same

@@ -38,6 +38,7 @@ from repro.core.wellformed import DisjointnessMode
 from repro.engine import events
 from repro.engine.config import ON_BUDGET_POLICIES, LiftConfig
 from repro.engine.registry import Backend, available_backends, get_backend
+from repro.lang.textmemo import memo_printer
 from repro.redex.reduction import STEPPER_MODES
 
 __all__ = ["main", "build_parser"]
@@ -406,7 +407,9 @@ def _run_lift(args, confection, backend) -> int:
             print(render_text(result, backend.pretty))
         return 0
 
-    # Streaming path: print surface steps as the engine produces them.
+    # Streaming path: print surface steps as the engine produces them,
+    # through one text memo for the whole sequence.
+    pretty = memo_printer(backend.pretty)
     core = skipped = 0
     exhausted: Optional[events.BudgetExhausted] = None
     for event in confection.lift_events(program, args.config):
@@ -414,18 +417,18 @@ def _run_lift(args, confection, backend) -> int:
             core += 1
         elif isinstance(event, events.SurfaceEmitted):
             line = (
-                f"  {backend.pretty(event.core_term)}"
+                f"  {pretty(event.core_term)}"
                 if args.show_skipped
-                else backend.pretty(event.surface_term)
+                else pretty(event.surface_term)
             )
             print(line, flush=True)
         elif isinstance(event, events.StepSkipped):
             skipped += 1
             if args.show_skipped:
-                print(f"x {backend.pretty(event.core_term)}", flush=True)
+                print(f"x {pretty(event.core_term)}", flush=True)
         elif isinstance(event, events.Deduped):
             if args.show_skipped:
-                print(f"= {backend.pretty(event.core_term)}", flush=True)
+                print(f"= {pretty(event.core_term)}", flush=True)
         elif isinstance(event, events.BudgetExhausted):
             exhausted = event
     coverage = 1.0 - skipped / core if core else 1.0

@@ -1,28 +1,44 @@
 """Incremental resugaring: reuse work across the steps of a lifted run.
 
 The lifting loop (section 5.3) resugars the *entire* core term after
-every reduction step, and — when emulation checking is on — also
-re-desugars every emitted surface term.  But a reduction step rewrites
-the term only along one spine; everything else is shared.  A
-:class:`ResugarCache` exploits that: terms are hash-consed
-(:mod:`repro.core.intern`), every per-subterm computation is memoized on
-canonical identity, and a step therefore costs O(rewritten spine) instead
-of O(term size):
+every reduction step and checks Emulation (Theorem 3) on every step it
+shows.  But a reduction step rewrites the term only along one spine;
+everything else is shared.  A :class:`ResugarCache` exploits that:
+terms are hash-consed (:mod:`repro.core.intern`), and one walk, memoized
+per canonical core node, computes everything a step needs of a node the
+first time the node is seen:
 
-* ``resugar`` — the paper's ``R`` (bottom-up unexpansion), the
-  opaque-tag/head-tag check, and the transparent-tag strip, each memoized
-  per interned subterm;
-* ``desugar`` — the paper's topdown recursive expansion, memoized per
-  interned subterm (sound because expansion is context-free);
-* ``emulates`` — Emulation at one step, as an O(1) identity comparison
-  of memoized tag-free skeletons.
+* its raw resugaring, the paper's ``R`` (bottom-up unexpansion);
+* which tags survive in it — opaque body and head tags block the
+  step, transparent body tags are stripped from a shown surface term
+  (lazily, only then);
+* whether it *emulates*: whether desugaring its resugaring gives back
+  the node, modulo tags.
 
-A cache is valid for one rulelist and one interning generation; the
-lifting loop creates one per run and desugars the program through it,
-so its Emulation checks start from a filled ``_desugar`` memo.  Results
-are structurally identical to the pure functions in
-:mod:`repro.core.desugar` — the equivalence test suite asserts this over
-the whole golden corpus.
+A step therefore visits only the nodes it created, once each.
+
+Emulation is local because desugaring is context-free, so (section 6.1)
+it can fail only at two kinds of node:
+
+* an untagged node the resugared term still shows as sugar — no rule
+  may expand it there, or desugaring would rewrite it;
+* an unexpansion site ``Head(i) inner`` with surface ``back`` —
+  re-expanding ``back`` must choose rule ``i`` again and rebuild
+  ``inner`` modulo tags (PutGet for that one rule application).
+
+Everywhere else a node emulates when its children do.  When the local
+test does not prove Emulation — a violation, or a surface term that is
+not this cache's own resugaring of the core term — :meth:`emulates`
+answers with the whole-term check, :func:`repro.core.lenses.emulates`.
+
+``desugar`` — the paper's topdown recursive expansion, memoized per
+interned subterm (sound because expansion is context-free) — is how the
+lifting loop desugars its program.  A cache is valid for one rulelist
+and one interning generation; the lifting loop creates one per run.
+Results are structurally identical to the pure functions in
+:mod:`repro.core.desugar`; the equivalence suites assert this over the
+whole golden corpus, and ``tests/core/test_local_emulation.py`` asserts
+that the local Emulation verdict equals the whole-term one.
 """
 
 from __future__ import annotations
@@ -42,9 +58,9 @@ from repro.core.intern import (
     _intern_tagged,
     intern_generation,
 )
+from repro.core.lenses import emulates as _whole_term_emulates
 from repro.core.recursion import deep_recursion
 from repro.core.rules import RuleList
-from repro.core.tags import has_opaque_body_tags
 from repro.obs import _state as _obs
 from repro.obs import provenance as _prov
 from repro.obs.metrics import (
@@ -70,6 +86,11 @@ from repro.core.terms import (
 __all__ = ["ResugarCache", "CacheStats"]
 
 _FAIL = object()  # memoized "resugaring fails here" marker
+
+# Which tags survive in a raw resugaring (bit flags).  Opaque body and
+# head tags block the step (Abstraction); transparent ones are stripped.
+_OPAQUE, _HEAD, _TRANSPARENT = 1, 2, 4
+_BLOCKING = _OPAQUE | _HEAD
 
 
 @dataclass
@@ -116,7 +137,8 @@ class CacheStats:
 
 
 class ResugarCache:
-    """Memoized desugar/resugar for one rulelist (see module docstring).
+    """Memoized resugar, Emulation and desugar for one rulelist (see
+    module docstring).
 
     All memo tables key on canonical (interned) term objects, so lookups
     are identity-fast and a reduction step invalidates exactly the spine
@@ -129,21 +151,22 @@ class ResugarCache:
         self.stats = CacheStats()
         self._generation = intern_generation()
         self._fuel = DEFAULT_MAX_EXPANSIONS
-        # core subterm -> raw resugaring (interned) or _FAIL
-        self._raw: Dict[Pattern, object] = {}
-        # _FAIL-memoized subterm -> provenance event of the original
+        self._sugar_labels = frozenset(rules.labels)
+        # core node -> (raw resugaring, surviving-tag bits, emulates?),
+        # or _FAIL when resugaring fails there
+        self._memo: Dict[Pattern, object] = {}
+        # _FAIL-memoized node -> provenance event of the original
         # failure (see repro.obs.provenance), kept so cached skips can
         # still name the rule and mismatch that caused them; populated
         # only while observability is enabled.
         self._fail_info: Dict[Pattern, Optional[dict]] = {}
-        # raw subterm -> has surviving opaque-body or head tags?
-        self._bad: Dict[Pattern, bool] = {}
-        # raw subterm -> transparent-tags-stripped (interned)
+        # raw subterm that is not its own core node (a rebuilt spine, an
+        # unexpansion's surface, a stand-in) -> surviving-tag bits
+        self._bits: Dict[Pattern, int] = {}
+        # raw subterm holding transparent tags -> stripped (interned)
         self._strip: Dict[Pattern, Pattern] = {}
         # surface subterm -> fully desugared (interned)
         self._desugar: Dict[Pattern, Pattern] = {}
-        # any subterm -> tag-free skeleton (interned)
-        self._skel: Dict[Pattern, Pattern] = {}
 
     def _check_generation(self) -> None:
         if self._generation != intern_generation():
@@ -152,7 +175,7 @@ class ResugarCache:
                 "fresh cache instead"
             )
 
-    # --- resugaring --------------------------------------------------
+    # --- resugaring and Emulation ------------------------------------
 
     def resugar(self, core_term: Pattern) -> Optional[Pattern]:
         """Equivalent to :func:`repro.core.desugar.resugar`, incremental."""
@@ -161,35 +184,53 @@ class ResugarCache:
         if _obs.enabled:
             RESUGAR_CALLS.inc()
         with deep_recursion():
-            raw = self._raw_walk(_intern(core_term))
-            if raw is _FAIL:
+            entry = self._entry(_intern(core_term))
+            if entry is _FAIL:
                 return None
-            if self._bad_walk(raw):
+            raw, bits, _ok = entry
+            if bits & _BLOCKING:
                 if _obs.enabled:
                     _prov.on_tag_blocked(
-                        "opaque_body_tag"
-                        if has_opaque_body_tags(raw)
-                        else "head_tag"
+                        "opaque_body_tag" if bits & _OPAQUE else "head_tag"
                     )
                 return None
-            return self._strip_walk(raw)
+            return self._stripped(raw) if bits & _TRANSPARENT else raw
 
-    def _raw_walk(self, t: Pattern):
-        memo = self._raw
-        cached = memo.get(t, None)
-        if cached is not None:
-            self.stats.resugar_hits += 1
-            if _obs.enabled:
-                RESUGAR_CACHE_HITS.inc()
-                if cached is _FAIL:
-                    _prov.on_cached_fail(self._fail_info.get(t))
-            return cached
-        self.stats.resugar_visits += 1
+    def emulates(self, surface_term: Pattern, core_term: Pattern) -> bool:
+        """Equivalent to :func:`repro.core.lenses.emulates`: does the
+        surface term desugar into the core term, modulo tags?
+
+        When ``surface_term`` is this cache's resugaring of ``core_term``
+        the walk has already decided it, node by node; otherwise, or when
+        the local test does not prove Emulation, the whole-term check
+        answers (with its own expansion fuel, as each :meth:`desugar`
+        call has).
+        """
+        self._check_generation()
+        with deep_recursion():
+            entry = self._memo.get(core_term)  # equal terms hash alike
+            if entry is not None and entry is not _FAIL:
+                raw, bits, ok = entry
+                if ok and not bits & _BLOCKING:
+                    mine = self._stripped(raw) if bits & _TRANSPARENT else raw
+                    if surface_term == mine:
+                        return True
+            return _whole_term_emulates(self.rules, surface_term, core_term)
+
+    def _entry(self, t: Pattern):
+        """The memo entry of core node ``t``, computed on a miss."""
+        entry = self._memo.get(t)
+        if entry is None:
+            return self._visit(t)
+        self.stats.resugar_hits += 1
         if _obs.enabled:
-            RESUGAR_CACHE_MISSES.inc()
-        result = self._raw_compute(t)
-        memo[t] = result
-        return result
+            self._observe_hit(t, entry)
+        return entry
+
+    def _observe_hit(self, t: Pattern, entry) -> None:
+        RESUGAR_CACHE_HITS.inc()
+        if entry is _FAIL:
+            _prov.on_cached_fail(self._fail_info.get(t))
 
     def _propagate_fail(self, t: Pattern, child: Pattern) -> None:
         """A subterm failure just made ``t`` fail too: carry the
@@ -198,119 +239,162 @@ class ResugarCache:
         RESUGAR_FAIL_PROPAGATIONS.inc()
         self._fail_info[t] = self._fail_info.get(child)
 
-    def _raw_compute(self, t: Pattern):
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, Tagged):
-            inner = self._raw_walk(t.term)
-            if inner is _FAIL:
+    def _children(self, t: Pattern, parts):
+        """``(raws, bits, ok)`` over ``t``'s children — their raw
+        resugarings (``None`` when all are the children themselves),
+        surviving tags and verdicts — or ``_FAIL`` at the first failing
+        child (later children are not visited, as in ``R``)."""
+        memo = self._memo
+        raws = []
+        changed = False
+        bits = 0
+        ok = True
+        hits = 0
+        for c in parts:
+            entry = memo.get(c)
+            if entry is None:
+                entry = self._visit(c)
+            else:
+                hits += 1
                 if _obs.enabled:
-                    self._propagate_fail(t, t.term)
+                    self._observe_hit(c, entry)
+            if entry is _FAIL:
+                self.stats.resugar_hits += hits
+                if _obs.enabled:
+                    self._propagate_fail(t, c)
                 return _FAIL
-            if isinstance(t.tag, HeadTag):
-                self.stats.unexpansions += 1
-                back = self.rules.unexpand(t.tag.index, inner, t.tag.stand_in)
-                if _obs.enabled:
-                    event = _prov.on_unexpand(
-                        self.rules, t.tag.index, inner, back is not None
-                    )
-                    if back is None:
-                        self._fail_info[t] = event
-                return _FAIL if back is None else _intern(back)
-            if inner is t.term:
-                return t
-            return _intern_tagged(t.tag, inner)
-        if isinstance(t, Node):
-            children = []
-            changed = False
-            for c in t.children:
-                rc = self._raw_walk(c)
-                if rc is _FAIL:
-                    if _obs.enabled:
-                        self._propagate_fail(t, c)
-                    return _FAIL
-                if rc is not c:
-                    changed = True
-                children.append(rc)
-            if not changed:
-                return t
-            return _intern_node(t.label, tuple(children))
-        if isinstance(t, PList):
-            if t.ellipsis is not None:
-                return _FAIL  # an ellipsis pattern can never arise in a term
-            items = []
-            changed = False
-            for c in t.items:
-                rc = self._raw_walk(c)
-                if rc is _FAIL:
-                    if _obs.enabled:
-                        self._propagate_fail(t, c)
-                    return _FAIL
-                if rc is not c:
-                    changed = True
-                items.append(rc)
-            if not changed:
-                return t
-            return _intern_plist(tuple(items))
-        return _FAIL
+            raw, child_bits, child_ok = entry
+            raws.append(raw)
+            if raw is not c:
+                changed = True
+            bits |= child_bits
+            ok = ok and child_ok
+        self.stats.resugar_hits += hits
+        return (tuple(raws) if changed else None), bits, ok
 
-    def _bad_walk(self, t: Pattern) -> bool:
-        """Does ``t`` still contain an opaque body tag or a head tag?"""
-        memo = self._bad
-        cached = memo.get(t)
-        if cached is not None:
-            return cached
-        result = False
-        if isinstance(t, Tagged):
-            if isinstance(t.tag, HeadTag):
-                result = True
-            elif isinstance(t.tag, BodyTag) and not t.tag.transparent:
-                result = True
+    def _visit(self, t: Pattern):
+        """Compute and memoize the entry of a node not seen before."""
+        self.stats.resugar_visits += 1
+        if _obs.enabled:
+            RESUGAR_CACHE_MISSES.inc()
+        cls = t.__class__
+        entry = _FAIL
+        if cls is Node:
+            kids = self._children(t, t.children)
+            if kids is not _FAIL:
+                raws, bits, ok = kids
+                raw = t if raws is None else _intern_node(t.label, raws)
+                if ok and t.label in self._sugar_labels:
+                    # Shown untagged, this node must stay core when the
+                    # surface term is desugared again.
+                    ok = self.rules.matching_rule(raw) is None
+                entry = (raw, bits, ok)
+        elif cls is Const:
+            entry = (t, 0, True)
+        elif cls is Tagged:
+            kids = self._children(t, (t.term,))
+            if kids is not _FAIL:
+                raws, bits, ok = kids
+                inner = t.term if raws is None else raws[0]
+                tag = t.tag
+                if tag.__class__ is HeadTag:
+                    entry = self._unexpand(t, tag, inner, ok)
+                else:
+                    bits |= _TRANSPARENT if tag.transparent else _OPAQUE
+                    raw = t if raws is None else _intern_tagged(tag, inner)
+                    entry = (raw, bits, ok)
+        elif cls is PList and t.ellipsis is None:
+            # (an ellipsis pattern never arises in a term)
+            kids = self._children(t, t.items)
+            if kids is not _FAIL:
+                raws, bits, ok = kids
+                raw = t if raws is None else _intern_plist(raws)
+                entry = (raw, bits, ok)
+        self._memo[t] = entry
+        if entry is not _FAIL and entry[0] is not t:
+            self._bits[entry[0]] = entry[1]
+        return entry
+
+    def _unexpand(self, t: Tagged, tag: HeadTag, inner: Pattern, ok: bool):
+        """``R`` at a head tag, with the Emulation test of that site."""
+        self.stats.unexpansions += 1
+        back = self.rules.unexpand(tag.index, inner, tag.stand_in)
+        if _obs.enabled:
+            event = _prov.on_unexpand(
+                self.rules, tag.index, inner, back is not None
+            )
+            if back is None:
+                self._fail_info[t] = event
+        if back is None:
+            return _FAIL
+        back = _intern(back)
+        # PutGet at this site.  Rule ``tag.index`` matches ``back`` (its
+        # LHS instance) and rebuilds ``inner`` modulo tags (from the very
+        # bindings unexpansion read off ``inner``), so desugaring ``back``
+        # again reproduces this node unless a rule of higher priority
+        # matches ``back`` first.
+        if ok:
+            ok = self.rules.matching_rule(back, before=tag.index) is None
+        return back, self._raw_bits(back), ok
+
+    def _raw_bits(self, r: Pattern) -> int:
+        """Surviving-tag bits of raw subterm ``r``: memoized for every
+        raw the walk built, computed here for an unexpansion's new
+        template nodes and stand-ins."""
+        known = self._known_bits(r)
+        if known is not None:
+            return known
+        cls = r.__class__
+        bits = 0
+        if cls is Tagged:
+            tag = r.tag
+            if tag.__class__ is HeadTag:
+                bits = _HEAD
             else:
-                result = self._bad_walk(t.term)
-        elif isinstance(t, Node):
-            result = any(self._bad_walk(c) for c in t.children)
-        elif isinstance(t, PList):
-            result = any(self._bad_walk(c) for c in t.items)
-        memo[t] = result
-        return result
+                bits = _TRANSPARENT if tag.transparent else _OPAQUE
+            bits |= self._raw_bits(r.term)
+        elif cls is Node or cls is PList:
+            for c in r.children if cls is Node else r.items:
+                known = self._known_bits(c)
+                bits |= self._raw_bits(c) if known is None else known
+        self._bits[r] = bits
+        return bits
 
-    def _strip_walk(self, t: Pattern) -> Pattern:
-        """Strip transparent body tags (the surviving kind), memoized."""
+    def _known_bits(self, r: Pattern) -> Optional[int]:
+        bits = self._bits.get(r)
+        if bits is None:
+            entry = self._memo.get(r)
+            if entry is not None and entry is not _FAIL and entry[0] is r:
+                return entry[1]  # a core node that is its own raw
+        return bits
+
+    def _stripped(self, r: Pattern) -> Pattern:
+        """``r`` without its transparent body tags (the surviving kind);
+        built only for shown steps, and only below transparent tags."""
+        if not self._raw_bits(r) & _TRANSPARENT:
+            return r
         memo = self._strip
-        cached = memo.get(t)
-        if cached is not None:
-            return cached
-        if isinstance(t, Const):
-            result: Pattern = t
-        elif isinstance(t, Tagged):
-            inner = self._strip_walk(t.term)
-            if isinstance(t.tag, BodyTag) and t.tag.transparent:
+        result = memo.get(r)
+        if result is not None:
+            return result
+        cls = r.__class__
+        if cls is Tagged:
+            inner = self._stripped(r.term)
+            if isinstance(r.tag, BodyTag) and r.tag.transparent:
                 result = inner
-            elif inner is t.term:
-                result = t
+            elif inner is r.term:
+                result = r
             else:
-                result = _intern_tagged(t.tag, inner)
-        elif isinstance(t, Node):
-            children = tuple(self._strip_walk(c) for c in t.children)
-            result = (
-                t
-                if all(a is b for a, b in zip(children, t.children))
-                else _intern_node(t.label, children)
-            )
-        elif isinstance(t, PList):
-            items = tuple(self._strip_walk(c) for c in t.items)
-            result = (
-                t
-                if all(a is b for a, b in zip(items, t.items))
-                else _intern_plist(items)
-            )
+                result = _intern_tagged(r.tag, inner)
+        elif cls is Node:
+            children = tuple(self._stripped(c) for c in r.children)
+            result = _intern_node(r.label, children)
         else:
-            result = t
-        memo[t] = result
+            result = _intern_plist(tuple(self._stripped(c) for c in r.items))
+        memo[r] = result
         return result
 
-    # --- desugaring and emulation ------------------------------------
+    # --- desugaring --------------------------------------------------
 
     def desugar(self, surface_term: Pattern) -> Pattern:
         """Equivalent to :func:`repro.core.desugar.desugar` (topdown
@@ -339,26 +423,45 @@ class ResugarCache:
         memo[t] = result
         return result
 
+    def _desugar_all(self, parts, depth: int):
+        """Desugared ``parts``, or ``None`` when each is unchanged."""
+        memo = self._desugar
+        out = []
+        changed = False
+        hits = 0
+        for c in parts:
+            d = memo.get(c)
+            if d is None:
+                d = self._desugar_walk(c, depth)
+            else:
+                hits += 1
+            out.append(d)
+            if d is not c:
+                changed = True
+        self.stats.desugar_hits += hits
+        if hits and _obs.enabled:
+            DESUGAR_CACHE_HITS.inc(hits)
+        return tuple(out) if changed else None
+
     def _desugar_compute(self, t: Pattern, depth: int) -> Pattern:
-        if isinstance(t, Const):
+        cls = t.__class__
+        if cls is Const:
             return t
-        if isinstance(t, Tagged):
+        if cls is Tagged:
             inner = self._desugar_walk(t.term, depth)
             if inner is t.term:
                 return t
             return _intern_tagged(t.tag, inner)
-        if isinstance(t, PList):
-            items = tuple(self._desugar_walk(c, depth) for c in t.items)
-            if all(a is b for a, b in zip(items, t.items)):
-                return t
-            return _intern_plist(items)
-        assert isinstance(t, Node)
-        expansion = self.rules.expand(t)
+        if cls is PList:
+            items = self._desugar_all(t.items, depth)
+            return t if items is None else _intern_plist(items)
+        assert cls is Node
+        expansion = (
+            self.rules.expand(t) if t.label in self._sugar_labels else None
+        )
         if expansion is None:
-            children = tuple(self._desugar_walk(c, depth) for c in t.children)
-            if all(a is b for a, b in zip(children, t.children)):
-                return t
-            return _intern_node(t.label, children)
+            children = self._desugar_all(t.children, depth)
+            return t if children is None else _intern_node(t.label, children)
         self.stats.expansions += 1
         if _obs.enabled:
             DESUGAR_DEPTH.observe(depth + 1)
@@ -377,45 +480,3 @@ class ResugarCache:
         head = HeadTag(expansion.index, expansion.stand_in)
         body = self._desugar_walk(_intern(expansion.term), depth + 1)
         return _intern_tagged(head, body)
-
-    def _skel_walk(self, t: Pattern) -> Pattern:
-        """Tag-free skeleton (``strip_tags``), memoized and interned."""
-        memo = self._skel
-        cached = memo.get(t)
-        if cached is not None:
-            return cached
-        if isinstance(t, Tagged):
-            result = self._skel_walk(t.term)
-        elif isinstance(t, Node):
-            children = tuple(self._skel_walk(c) for c in t.children)
-            result = (
-                t
-                if all(a is b for a, b in zip(children, t.children))
-                else _intern_node(t.label, children)
-            )
-        elif isinstance(t, PList):
-            items = tuple(self._skel_walk(c) for c in t.items)
-            result = (
-                t
-                if all(a is b for a, b in zip(items, t.items))
-                else _intern_plist(items)
-            )
-        else:
-            result = t
-        memo[t] = result
-        return result
-
-    def emulates(self, surface_term: Pattern, core_term: Pattern) -> bool:
-        """Equivalent to :func:`repro.core.lenses.emulates`: does the
-        surface term desugar into the core term, modulo tags?
-
-        Both skeletons are interned, so the comparison itself is a single
-        identity check.  Each check gets the full expansion fuel, as
-        each :meth:`desugar` call does.
-        """
-        self._check_generation()
-        self._fuel = DEFAULT_MAX_EXPANSIONS
-        with deep_recursion():
-            core_skeleton = self._skel_walk(_intern(core_term))
-            surface_core = self._desugar_walk(_intern(surface_term), 0)
-            return self._skel_walk(surface_core) is core_skeleton

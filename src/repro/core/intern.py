@@ -33,7 +33,7 @@ applications, and keying the table on short-lived objects would risk
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from repro.core.terms import Const, Node, Pattern, PList, Tagged
 
@@ -46,6 +46,9 @@ __all__ = [
     "intern_stats",
     "clear_intern_caches",
     "intern_generation",
+    "Builders",
+    "PLAIN",
+    "CANONICAL",
 ]
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,20 @@ def _intern_tagged(tag, inner: Pattern) -> Pattern:
 intern_node = _intern_node
 intern_plist = _intern_plist
 intern_tagged = _intern_tagged
+
+
+class Builders(NamedTuple):
+    """The constructors a term rewriter rebuilds with: plain objects, or
+    canonical ones (one table probe each, under the contract above)."""
+
+    const: Callable[[Const], Pattern]
+    node: Callable[[str, Tuple[Pattern, ...]], Pattern]
+    tagged: Callable[[object, Pattern], Pattern]
+    plist: Callable[[Tuple[Pattern, ...]], Pattern]
+
+
+PLAIN = Builders(lambda c: c, Node, Tagged, PList)
+CANONICAL = Builders(_intern, _intern_node, _intern_tagged, _intern_plist)
 
 
 def _store(key: tuple, canon: Pattern) -> Pattern:

@@ -24,8 +24,13 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.bindings import Binding, restrict, right_biased_union
 from repro.core.errors import ExpansionError
-from repro.core.matching import match
-from repro.core.substitution import subst
+from repro.core.intern import is_interned
+from repro.core.matching import match, matches
+from repro.core.substitution import (
+    is_canonical_binding,
+    subst,
+    subst_canonical,
+)
 from repro.core.tags import insert_body_tags
 from repro.core.terms import Node, Pattern, pattern_variables
 from repro.core.wellformed import (
@@ -133,7 +138,9 @@ class RuleList:
 
         Returns ``None`` when no rule applies (the term is not an instance
         of any sugar in this rulelist).  Matching sees through tags on the
-        term, since earlier expansions may have tagged its subterms.
+        term, since earlier expansions may have tagged its subterms.  On
+        canonical input the instance is built canonical
+        (:func:`~repro.core.substitution.subst_canonical`).
         """
         if not isinstance(term, Node):
             return None
@@ -145,10 +152,32 @@ class RuleList:
             sigma = match(term, rule.lhs, see_through_tags=True)
             if sigma is None:
                 continue
-            expanded = subst(sigma, rule.tagged_rhs)
+            # The bindings of a canonical term are canonical subterms.
+            if is_interned(term):
+                expanded = subst_canonical(sigma, rule.tagged_rhs)
+            else:
+                expanded = subst(sigma, rule.tagged_rhs)
             dropped = restrict(sigma, rule.dropped_vars)
             stand_in = tuple(sorted(dropped.items(), key=lambda kv: kv[0]))
             return Expansion(index, expanded, stand_in)
+        return None
+
+    def matching_rule(
+        self, term: Pattern, before: Optional[int] = None
+    ) -> Optional[int]:
+        """The index of the rule :meth:`expand` would apply to ``term``,
+        trying only rules of higher priority than ``before`` when given;
+        ``None`` when none matches.  Matches only, substitutes nothing."""
+        if not isinstance(term, Node):
+            return None
+        term_arity = len(term.children)
+        for index, arity in self._by_label.get(term.label, ()):
+            if before is not None and index >= before:
+                return None
+            if arity >= 0 and arity != term_arity:
+                continue
+            if matches(term, self.rules[index].lhs, see_through_tags=True):
+                return index
         return None
 
     def unexpand(
@@ -163,7 +192,8 @@ class RuleList:
 
         Returns ``None`` when the term no longer has the shape of the
         rule's RHS — evaluation has rewritten the sugar's internals, so
-        the step has no surface representation.
+        the step has no surface representation.  A canonical term and
+        stand-in give a canonical result, as in :meth:`expand`.
         """
         if not 0 <= index < len(self.rules):
             raise ExpansionError(f"head tag references unknown rule index {index}")
@@ -175,4 +205,8 @@ class RuleList:
         if sigma is None:
             return None
         merged = right_biased_union(dict(stand_in), sigma)
+        if is_interned(term) and all(
+            is_canonical_binding(b) for _name, b in stand_in
+        ):
+            return subst_canonical(merged, rule.lhs)
         return subst(merged, rule.lhs)

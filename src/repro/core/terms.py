@@ -31,7 +31,7 @@ Tags come in two kinds (section 5.2.1):
 
 Performance notes.  The recursive classes (:class:`Const`, :class:`Node`,
 :class:`PList`, :class:`Tagged`) are hand-rolled immutable classes rather
-than dataclasses so they can carry two extra slots:
+than dataclasses so they can carry extra slots:
 
 * ``_hash`` — the structural hash, computed once on first use and cached.
   Terms are immutable, so the cache never invalidates; repeated hashing
@@ -40,6 +40,10 @@ than dataclasses so they can carry two extra slots:
   :mod:`repro.core.intern`.  Interned terms are canonical: structurally
   equal interned terms are pointer-identical, so ``==`` degenerates to
   ``is`` and caches can key on identity.
+* ``_names`` (not on :class:`Const`) — the string constants the term
+  contains (:func:`names_of`), computed and set on first use.  A
+  substitution asks :func:`mentions` at each subterm and returns the
+  subterms that never mention its variable untouched, by identity.
 
 ``__eq__`` additionally fast-paths on identity and on cached-hash
 disagreement before falling back to the structural walk.
@@ -71,6 +75,8 @@ __all__ = [
     "variable_depths",
     "strip_tags",
     "untagged",
+    "names_of",
+    "mentions",
     "strip_body_tags",
     "subterms",
     "term_size",
@@ -172,7 +178,7 @@ class Const(Pattern):
 class Node(Pattern):
     """A labeled node ``l(P1, ..., Pn)`` with fixed arity."""
 
-    __slots__ = ("label", "children", "_hash", "_interned")
+    __slots__ = ("label", "children", "_hash", "_interned", "_names")
 
     def __init__(self, label: str, children: Tuple[Pattern, ...] = ()) -> None:
         if not isinstance(label, str) or not label:
@@ -220,7 +226,7 @@ class PList(Pattern):
     has ``ellipsis is None``.
     """
 
-    __slots__ = ("items", "ellipsis", "_hash", "_interned")
+    __slots__ = ("items", "ellipsis", "_hash", "_interned", "_names")
 
     def __init__(
         self,
@@ -306,7 +312,7 @@ class BodyTag(Tag):
 class Tagged(Pattern):
     """``(Tag O P)``: a pattern or term carrying an origin tag."""
 
-    __slots__ = ("tag", "term", "_hash", "_interned")
+    __slots__ = ("tag", "term", "_hash", "_interned", "_names")
 
     def __init__(self, tag: Tag, term: Pattern) -> None:
         if not isinstance(tag, Tag):
@@ -419,6 +425,49 @@ def untagged(t: Pattern) -> Pattern:
     while t.__class__ is Tagged:
         t = t.term
     return t
+
+
+_NO_NAMES: frozenset = frozenset()
+
+
+def names_of(t: Pattern) -> frozenset:
+    """The string constants anywhere in ``t``: every variable name it can
+    mention.  Cached in the node's ``_names`` slot; a parent whose set
+    equals one child's shares that child's set object."""
+    cls = t.__class__
+    if cls is Const:
+        v = t.value
+        return frozenset((v,)) if v.__class__ is str else _NO_NAMES
+    try:
+        return t._names  # unset until first asked: constructors skip it
+    except AttributeError:
+        pass
+    if cls is Node:
+        parts = t.children
+    elif cls is PList:
+        parts = t.items if t.ellipsis is None else t.items + (t.ellipsis,)
+    elif cls is Tagged:
+        parts = (t.term,)
+    else:
+        return _NO_NAMES
+    names = _NO_NAMES
+    for part in parts:
+        sub = names_of(part)
+        if not sub or sub is names:
+            continue
+        names = sub if not names else (
+            names if sub <= names else names | sub
+        )
+    object.__setattr__(t, "_names", names)
+    return names
+
+
+def mentions(t: Pattern, name: str) -> bool:
+    """Does ``t`` contain the string constant ``name`` anywhere?  O(1)
+    after the first :func:`names_of` of ``t``."""
+    if t.__class__ is Const:
+        return t.value.__class__ is str and t.value == name
+    return name in names_of(t)
 
 
 def strip_tags(t: Pattern) -> Pattern:

@@ -293,8 +293,8 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
     tree = config.mode == "tree"
     cache = ResugarCache(rules) if config.incremental else None
     stats = cache.stats if cache else None
-    # Desugar once: through the cache, the run's own desugar fills its
-    # memo, so the step-0 Emulation check is an identity hit.
+    # Desugar once, through the cache.  Its Emulation checks desugar
+    # nothing: the resugaring walk decides them node by node.
     core = cache.desugar(surface_term) if cache else desugar(rules, surface_term)
     frontier = deque([(stepper.load(core), None)])
     budget = _Budget(config)

@@ -12,14 +12,27 @@ all other structure is kept with tags preserved (Definition 4).
 
 Sharing: a subterm in which nothing was replaced is returned as the very
 same object, so the untouched parts of a contractum stay canonical
-(:mod:`repro.core.intern`) and re-interning it stops at them.
+(:mod:`repro.core.intern`) and re-interning it stops at them.  A subterm
+that never mentions the variable (:func:`~repro.core.terms.mentions`,
+cached on the node) is returned without being walked at all.  When the
+term and the value are both canonical, :func:`substitute` builds the
+rebuilt spine canonical too, one intern probe per node.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.terms import Const, Node, Pattern, PList, Tagged, untagged
+from repro.core.intern import CANONICAL, PLAIN, Builders, is_interned
+from repro.core.terms import (
+    Const,
+    Node,
+    Pattern,
+    PList,
+    Tagged,
+    mentions,
+    untagged,
+)
 
 __all__ = [
     "Assigned",
@@ -60,6 +73,7 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
         name,
         on_ref=lambda: value,
         on_set=None,
+        make=CANONICAL if is_interned(term) and is_interned(value) else PLAIN,
     )
 
 
@@ -96,14 +110,18 @@ def _walk(
     name: str,
     on_ref: Callable[[], Pattern],
     on_set: Optional[Callable[[Pattern], Pattern]],
+    make: Builders = PLAIN,
 ) -> Pattern:
+    if not mentions(term, name):
+        return term
+
     if isinstance(term, Tagged):
         bare = untagged(term)
         if _is_ref(bare, name):
             # The reference node is consumed; its tags go with it.
             return on_ref()
-        inner = _walk(term.term, name, on_ref, on_set)
-        return term if inner is term.term else Tagged(term.tag, inner)
+        inner = _walk(term.term, name, on_ref, on_set, make)
+        return term if inner is term.term else make.tagged(term.tag, inner)
 
     if isinstance(term, Node):
         if _is_ref(term, name):
@@ -111,19 +129,21 @@ def _walk(
         if term.label == "Set" and _target_name(term) == name:
             if on_set is None:
                 raise Assigned(name)
-            return on_set(_walk(term.children[1], name, on_ref, on_set))
+            return on_set(_walk(term.children[1], name, on_ref, on_set, make))
         if term.label == "Lam" and _param_of(term) == name:
             return term  # shadowed
-        children = tuple(_walk(c, name, on_ref, on_set) for c in term.children)
+        children = tuple(
+            _walk(c, name, on_ref, on_set, make) for c in term.children
+        )
         if all(a is b for a, b in zip(children, term.children)):
             return term
-        return Node(term.label, children)
+        return make.node(term.label, children)
 
     if isinstance(term, PList):
-        items = tuple(_walk(c, name, on_ref, on_set) for c in term.items)
+        items = tuple(_walk(c, name, on_ref, on_set, make) for c in term.items)
         if all(a is b for a, b in zip(items, term.items)):
             return term
-        return PList(items)
+        return make.plist(items)
 
     return term
 

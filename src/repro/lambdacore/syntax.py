@@ -25,6 +25,7 @@ from repro.core.errors import ParseError
 from repro.core.terms import Const, Node, Pattern, PList, Symbol, untagged
 from repro.lambdacore.prims import PRIMITIVE_NAMES
 from repro.lang.sexpr import SExpr, read_sexpr, write_sexpr
+from repro.lang.textmemo import ACTIVE, MAX_MEMO_TEXT, write_with
 
 __all__ = ["from_sexpr", "parse_program", "pretty"]
 
@@ -34,13 +35,17 @@ def parse_program(source: str) -> Pattern:
     return from_sexpr(read_sexpr(source))
 
 
-def pretty(term: Pattern) -> str:
+def pretty(term: Pattern, memo=None) -> str:
     """Render a (possibly tagged) term back to s-expression syntax.
 
     Tags are read through, never copied away: the text is exactly what
-    the term's tag-free copy would print.
+    the term's tag-free copy would print.  ``memo``, a dict shared by the
+    steps of one sequence, caches each subterm's text across calls
+    (:mod:`repro.lang.textmemo`).
     """
-    return _pp(term)
+    if memo is None:
+        return _pp(term)
+    return write_with(_pp, term, memo)
 
 
 # --- s -> t -----------------------------------------------------------
@@ -298,19 +303,29 @@ _FORMS = {
 
 
 def _pp(t: Pattern) -> str:
-    t = untagged(t)
-    cls = t.__class__
+    memo = ACTIVE.memo  # inside ``pretty(term, memo)`` only
+    if memo is not None:
+        text = memo.get(t)
+        if text is not None:
+            return text
+    bare = untagged(t)
+    cls = bare.__class__
     if cls is Node:
-        writer = _WRITERS.get(t.label)
+        writer = _WRITERS.get(bare.label)
         if writer is not None:
-            return writer(t)
-        # Generic fallback: (label child ...).
-        return _form(t.label.lower(), t.children)
-    if cls is Const:
-        return write_sexpr(t.value)
-    if cls is PList:
-        return _paren(map(_pp, t.items))
-    raise ParseError(f"cannot render {t!r} as an s-expression")
+            text = writer(bare)
+        else:
+            # Generic fallback: (label child ...).
+            text = _form(bare.label.lower(), bare.children)
+    elif cls is Const:
+        text = write_sexpr(bare.value)
+    elif cls is PList:
+        text = _paren(map(_pp, bare.items))
+    else:
+        raise ParseError(f"cannot render {bare!r} as an s-expression")
+    if memo is not None and len(text) <= MAX_MEMO_TEXT:
+        memo[t] = text
+    return text
 
 
 def _paren(words) -> str:

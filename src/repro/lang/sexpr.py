@@ -22,29 +22,31 @@ __all__ = ["SExpr", "read_sexpr", "read_sexprs", "write_sexpr"]
 
 SExpr = Union[int, float, bool, str, Symbol, List["SExpr"]]
 
+# One scan over the source: whitespace and comments match unnamed
+# alternatives, every token the ``token`` group.  The only character no
+# token can start with is the ``"`` of an unterminated string, which
+# ``bad`` catches; only then is the source scanned again, to report
+# where it is.
 _SEXPR_TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>;[^\n]*)
-  | (?P<open>[(\[])
-  | (?P<close>[)\]])
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<atom>[^\s()\[\];"]+)
+    \s+
+  | ;[^\n]*
+  | (?P<token>[()\[\]] | "(?:[^"\\]|\\.)*" | [^\s()\[\];"]+)
+  | (?P<bad>(?s:.))
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(source: str) -> List[str]:
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(source):
-        m = _SEXPR_TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r} at {pos}")
-        if m.lastgroup not in ("ws", "comment"):
-            tokens.append(m.group())
-        pos = m.end()
+    found = _SEXPR_TOKEN_RE.findall(source)  # (token, bad) per match
+    tokens = [token for token, _bad in found if token]
+    if '"' in source and any(bad for _token, bad in found):
+        for m in _SEXPR_TOKEN_RE.finditer(source):
+            if m.lastgroup == "bad":
+                raise ParseError(
+                    f"unexpected character {m.group()!r} at {m.start()}"
+                )
     return tokens
 
 

@@ -100,6 +100,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Union
 from dataclasses import dataclass
 
 from repro.engine.events import BatchLifted, JobError
+from repro.lang.textmemo import memo_printer
 from repro.parallel.jobs import LiftJob, as_job
 
 __all__ = [
@@ -243,7 +244,7 @@ def _execute_job(
             metrics = None
         rendered = None
         if payload in ("rendered", "both"):
-            rendered = tuple(pretty(t) for t in result.surface_sequence)
+            rendered = tuple(map(memo_printer(pretty), result.surface_sequence))
         return BatchLifted(
             job_index=index,
             result=None if payload == "rendered" else result,

@@ -23,7 +23,18 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from repro.core.errors import StuckError
-from repro.core.terms import Const, Node, Pattern, PList, PVar, Tagged, strip_tags, untagged
+from repro.core.intern import CANONICAL, PLAIN, Builders, is_interned
+from repro.core.terms import (
+    Const,
+    Node,
+    Pattern,
+    PList,
+    PVar,
+    Tagged,
+    mentions,
+    strip_tags,
+    untagged,
+)
 from repro.redex import (
     AtomPred,
     EvalStrategy,
@@ -97,13 +108,23 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
 
     A subterm in which nothing was replaced is returned as the same
     object, so the contractum shares (and stays interned on) everything
-    the substitution did not touch."""
+    the substitution did not touch; a subterm that never mentions
+    ``name`` (:func:`~repro.core.terms.mentions`) is not walked at all.
+    When ``term`` and ``value`` are canonical, the rebuilt spine is
+    built canonical, one intern probe per node."""
+    canonical = is_interned(term) and is_interned(value)
+    return _subst(term, name, value, CANONICAL if canonical else PLAIN)
+
+
+def _subst(term: Pattern, name: str, value: Pattern, make: Builders) -> Pattern:
+    if not mentions(term, name):
+        return term
     if isinstance(term, Tagged):
         bare = untagged(term)
         if _is_ref(bare, name):
             return value
-        inner = substitute(term.term, name, value)
-        return term if inner is term.term else Tagged(term.tag, inner)
+        inner = _subst(term.term, name, value, make)
+        return term if inner is term.term else make.tagged(term.tag, inner)
     if isinstance(term, Node):
         if _is_ref(term, name):
             return value
@@ -113,21 +134,21 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
             bound = untagged(term.children[0])
             if isinstance(bound, Const) and bound.value == name:
                 # The bound expression is still open; the body is shadowed.
-                rhs = substitute(term.children[1], name, value)
+                rhs = _subst(term.children[1], name, value, make)
                 if rhs is term.children[1]:
                     return term
-                return Node(
+                return make.node(
                     term.label, (term.children[0], rhs, term.children[2])
                 )
-        children = tuple(substitute(c, name, value) for c in term.children)
+        children = tuple(_subst(c, name, value, make) for c in term.children)
         if all(a is b for a, b in zip(children, term.children)):
             return term
-        return Node(term.label, children)
+        return make.node(term.label, children)
     if isinstance(term, PList):
-        items = tuple(substitute(c, name, value) for c in term.items)
+        items = tuple(_subst(c, name, value, make) for c in term.items)
         if all(a is b for a, b in zip(items, term.items)):
             return term
-        return PList(items)
+        return make.plist(items)
     return term
 
 

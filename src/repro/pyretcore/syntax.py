@@ -29,6 +29,7 @@ from typing import List, Optional
 
 from repro.core.errors import ParseError
 from repro.core.terms import Const, Node, Pattern, PList, untagged
+from repro.lang.textmemo import ACTIVE, MAX_MEMO_TEXT, write_with
 
 __all__ = ["parse_program", "pretty"]
 
@@ -497,33 +498,48 @@ def parse_program(source: str) -> Pattern:
 
 # --- pretty printing ---------------------------------------------------
 
-def pretty(term: Pattern) -> str:
+def pretty(term: Pattern, memo=None) -> str:
     """Render a (possibly tagged) term the way the paper prints Pyret.
 
     Tags are read through, never copied away: the text is exactly what
-    the term's tag-free copy would print.
+    the term's tag-free copy would print.  ``memo``, a dict shared by the
+    steps of one sequence, caches each subterm's text across calls
+    (:mod:`repro.lang.textmemo`).
     """
-    return _pp(term)
+    if memo is None:
+        return _pp(term)
+    return write_with(_pp, term, memo)
 
 
 def _pp(t: Pattern) -> str:
-    t = untagged(t)
-    cls = t.__class__
+    memo = ACTIVE.memo  # inside ``pretty(term, memo)`` only
+    if memo is not None:
+        text = memo.get(t)
+        if text is not None:
+            return text
+    bare = untagged(t)
+    cls = bare.__class__
     if cls is Node:
-        printer = _PP.get(t.label)
+        printer = _PP.get(bare.label)
         if printer is not None:
-            return printer(t)
-        return f"{t.label.lower()}({_pp_all(t.children)})"
-    if cls is Const:
-        v = t.value
+            text = printer(bare)
+        else:
+            text = f"{bare.label.lower()}({_pp_all(bare.children)})"
+    elif cls is Const:
+        v = bare.value
         if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, str):
-            return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        return str(v)
-    if cls is PList:
-        return "[" + _pp_all(t.items) + "]"
-    return str(t)
+            text = "true" if v else "false"
+        elif isinstance(v, str):
+            text = '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        else:
+            text = str(v)
+    elif cls is PList:
+        text = "[" + _pp_all(bare.items) + "]"
+    else:
+        text = str(bare)
+    if memo is not None and len(text) <= MAX_MEMO_TEXT:
+        memo[t] = text
+    return text
 
 
 def _pp_all(parts) -> str:

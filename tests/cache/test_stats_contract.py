@@ -22,8 +22,10 @@ import dataclasses
 from repro.cache import CacheStore, LiftCache, ruleset_fingerprint
 from repro.cli import main
 from repro.confection import Confection
-from repro.core import incremental
-from repro.core.incremental import CacheStats, ResugarCache
+from repro.core.desugar import desugar, resugar_raw
+from repro.core.incremental import CacheStats
+from repro.core.tags import has_head_tags, has_opaque_body_tags
+from repro.core.terms import strip_body_tags, strip_tags
 from repro.engine.events import BudgetExhausted, Halted
 from repro.lambdacore import make_stepper, parse_program, pretty
 from repro.server.protocol import FrameBuilder, encode_frame
@@ -53,22 +55,25 @@ def _populated_cache(root):
 def _legacy_memo_blob(root):
     """Write the memo snapshot the removed memo tier would have written
     after a lift of :data:`PROGRAM`: its ``memo/`` path, key and table
-    layout, with real entries.  Returns the blob's path."""
+    layout, with real entries (each table's pairs computed by the pure
+    functions the old resugar cache memoized)."""
     rules = make_scheme_rules()
     program = parse_program(PROGRAM)
-    memo = ResugarCache(rules)
-    memo.desugar(program)
-    for step in Confection(rules, make_stepper()).lift(program).steps:
-        surface = memo.resugar(step.core_term)
-        if surface is not None:
-            memo.emulates(surface, step.core_term)
-    fail = incremental._FAIL
+    cores = [
+        step.core_term
+        for step in Confection(rules, make_stepper()).lift(program).steps
+    ]
+    raws = [(core, resugar_raw(rules, core)) for core in cores]
+    kept = [raw for _core, raw in raws if raw is not None]
     blob = {
-        "raw": [(k, None if v is fail else v) for k, v in memo._raw.items()],
-        "bad": list(memo._bad.items()),
-        "strip": list(memo._strip.items()),
-        "desugar": list(memo._desugar.items()),
-        "skel": list(memo._skel.items()),
+        "raw": raws,
+        "bad": [
+            (raw, has_opaque_body_tags(raw) or has_head_tags(raw))
+            for raw in kept
+        ],
+        "strip": [(raw, strip_body_tags(raw)) for raw in kept],
+        "desugar": [(program, desugar(rules, program))],
+        "skel": [(core, strip_tags(core)) for core in cores],
     }
     assert all(blob.values())
     store = CacheStore(root)

@@ -1,8 +1,8 @@
 """The incremental lift desugars once, through its own ResugarCache.
 
-The lifting loop's initial desugar fills the cache's ``_desugar`` memo,
-so the step-0 Emulation check (and every later check whose surface term
-is a subterm of the program) is an identity hit that expands nothing.
+The lifting loop desugars the program once, through the cache.  Its
+Emulation checks desugar nothing: the resugaring walk decides them node
+by node, so the run's expansions are the program's alone.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.confection import Confection
-from repro.core import incremental
+from repro.core import lenses
 from repro.core.desugar import desugar
 from repro.core.errors import ExpansionError
 from repro.core.incremental import ResugarCache
@@ -51,11 +51,11 @@ def test_incremental_lift_emits_one_desugar_span():
     (lift_span,) = [r for r in collector.records if r["name"] == "lift"]
     (desugar_span,) = [r for r in collector.records if r["name"] == "desugar"]
     assert desugar_span["parent_id"] == lift_span["span_id"]
-    # Provenance counts the run's expansions once: the program's two
-    # Or nodes, with no second pass for the step-0 Emulation check.
+    # Provenance counts the run's expansions once: the program's one Or
+    # node.  No Emulation check desugars a shown surface term again.
     stats = lift_span["attrs"]["rule_stats"]
     (or_row,) = [row for key, row in stats.items() if key.endswith(":Or")]
-    assert or_row["expansions"] == 2
+    assert or_row["expansions"] == 1
 
 
 def test_fuel_counts_distinct_expansions_not_occurrences():
@@ -74,14 +74,30 @@ def test_fuel_counts_distinct_expansions_not_occurrences():
     assert result.cache_stats.expansions < 1000
 
 
-def test_each_emulation_check_gets_the_full_fuel(monkeypatch):
-    """Fuel is per check, not per run: many small checks may together
-    expand more than one check is allowed to."""
-    monkeypatch.setattr(incremental, "DEFAULT_MAX_EXPANSIONS", 3)
+def test_each_emulation_check_gets_the_full_fuel():
+    """The fuel and depth guards belong to desugaring, so the lift's
+    Emulation check never spends fuel: it decides each shown step
+    inside the resugaring walk.  Only the whole-term check (a surface
+    term that is not the cache's own resugaring, or a local test that
+    does not prove Emulation) desugars, and each such check gets the
+    full fuel, as each :meth:`ResugarCache.desugar` call does."""
+    arm = "(or " + "#f " * 100 + "#t)"
+    half = parse_program("(and " + (arm + " ") * 30 + "#t)")
+    # Whole-term checks: each one expands more than half the fuel.
     cache = ResugarCache(RULES)
-    for n in range(1, 6):
-        source = "(or " + "#f " * n + "#t)"
-        assert cache.emulates(parse_program(source), desugar(RULES, parse_program(source)))
-    assert cache.stats.expansions > 3
-    with pytest.raises(ExpansionError, match="exceeded 3 expansions"):
-        cache.emulates(parse_program("(or #f #f #f #f #f #f #f #f #t)"), parse_program("#t"))
+    core = desugar(RULES, half)
+    for _ in range(2):
+        assert cache.emulates(half, core)
+    assert cache.stats.expansions == 0
+    # The local check: the whole-term desugar of this surface runs out
+    # of fuel, the walk's verdict does not need it.
+    program = parse_program("(and " + (arm + " ") * 60 + "#t)")
+    cache = ResugarCache(RULES)
+    core = cache.desugar(program)
+    surface = cache.resugar(core)
+    assert surface == program
+    expansions = cache.stats.expansions
+    assert cache.emulates(surface, core)
+    assert cache.stats.expansions == expansions
+    with pytest.raises(ExpansionError, match="exceeded 10000 expansions"):
+        lenses.emulates(RULES, surface, core)

@@ -38,6 +38,15 @@ class TestRead:
         with pytest.raises(ParseError):
             read_sexpr("a)")
 
+    def test_unterminated_string_names_its_quote(self):
+        for source, at in (('(f "abc', 3), ('"', 0), ('(a b) ; c\n "q', 11)):
+            with pytest.raises(ParseError) as err:
+                read_sexpr(source)
+            assert str(err.value) == f"unexpected character '\"' at {at}"
+        # A backslash-newline is not an escape: the string stays open.
+        with pytest.raises(ParseError, match="at 0"):
+            read_sexpr('"a\\\nb"')
+
     def test_exactly_one_required(self):
         with pytest.raises(ParseError):
             read_sexpr("1 2")

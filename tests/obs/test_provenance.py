@@ -264,3 +264,39 @@ def test_skip_provenance_is_mode_independent(incremental):
             )
         runs[mode] = diagnoses(collector.records)
     assert runs[True] == runs[False]
+
+
+# --- the exact events, pinned -------------------------------------------
+
+
+def test_step_provenance_is_pinned():
+    """Every step's outcome and provenance events, in order, for one
+    program per sugar family and backend, as
+    ``tests/golden/provenance_events.json`` records them: the memoized
+    resugaring walk must report each unexpansion, cached failure and tag
+    block exactly as it always has."""
+    import json
+    from pathlib import Path
+
+    from repro.engine.registry import get_backend
+
+    golden = json.loads(
+        (Path(__file__).parents[1] / "golden" / "provenance_events.json")
+        .read_text()
+    )
+    pyret = get_backend("pyret")
+    engines = {
+        "automaton": (make_automaton_rules(), make_stepper, parse_program),
+        "scheme": (make_scheme_rules(), make_stepper, parse_program),
+        "pyret": (pyret.make_rules(), pyret.make_stepper, pyret.parse),
+    }
+    for name, (rules, stepper, parse) in engines.items():
+        collector = SpanCollector()
+        with Observability(sinks=[collector]):
+            Confection(rules, stepper()).lift(parse(golden[name]["program"]))
+        steps = [
+            [r["attrs"]["index"], r["attrs"]["outcome"],
+             r["attrs"].get("provenance") or []]
+            for r in _step_spans(collector.records)
+        ]
+        assert steps == golden[name]["steps"], name
