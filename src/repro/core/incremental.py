@@ -61,6 +61,7 @@ from repro.core.intern import (
 from repro.core.lenses import emulates as _whole_term_emulates
 from repro.core.recursion import deep_recursion
 from repro.core.rules import RuleList
+from repro.core.wellformed import DisjointnessMode
 from repro.obs import _state as _obs
 from repro.obs import provenance as _prov
 from repro.obs.metrics import (
@@ -152,6 +153,10 @@ class ResugarCache:
         self._generation = intern_generation()
         self._fuel = DEFAULT_MAX_EXPANSIONS
         self._sugar_labels = frozenset(rules.labels)
+        # Definition 1: in a STRICT rule list no rule of higher priority
+        # than ``i`` matches an instance of rule ``i``'s LHS, so the
+        # priority test of an unexpansion site is decided statically.
+        self._recheck_priority = rules.disjointness is not DisjointnessMode.STRICT
         # core node -> (raw resugaring, surviving-tag bits, emulates?),
         # or _FAIL when resugaring fails there
         self._memo: Dict[Pattern, object] = {}
@@ -195,6 +200,49 @@ class ResugarCache:
                     )
                 return None
             return self._stripped(raw) if bits & _TRANSPARENT else raw
+
+    def resugar_shown(self, core_term: Pattern) -> Optional[Pattern]:
+        """:meth:`resugar`, with a step's skip decided before any walk
+        where the root shows it (:meth:`_skips_at_root`): no unexpansion
+        runs and no memo entry is computed for such a step.  The answer
+        is :meth:`resugar`'s, but no provenance is recorded, so the
+        lifting loop calls this only with observability off."""
+        self._check_generation()
+        if self._skips_at_root(_intern(core_term)):
+            self.stats.resugar_calls += 1
+            return None
+        return self.resugar(core_term)
+
+    def _skips_at_root(self, t: Pattern) -> bool:
+        """Does core node ``t``'s root already show that resugaring it
+        fails or is blocked?
+
+        With no head tag above it, an opaque body tag survives into the
+        raw resugaring, and so does a failing or blocked memo entry.  So
+        the answer is yes when ``t``, or a direct child of it, under
+        nothing but body tags, is opaque-body-tagged or memoized as
+        failing or blocked; and when a head-tagged root's inner term is
+        memoized as failing (failure propagates through unexpansion
+        sites).
+        """
+        memo = self._memo
+        while t.__class__ is Tagged:
+            tag = t.tag
+            if tag.__class__ is HeadTag:
+                return memo.get(t.term) is _FAIL
+            if not tag.transparent:
+                return True
+            t = t.term
+        cls = t.__class__
+        for c in t.children if cls is Node else t.items if cls is PList else ():
+            if c.__class__ is Tagged:
+                tag = c.tag
+                if tag.__class__ is BodyTag and not tag.transparent:
+                    return True
+            entry = memo.get(c)
+            if entry is _FAIL or entry is not None and entry[1] & _BLOCKING:
+                return True
+        return False
 
     def emulates(self, surface_term: Pattern, core_term: Pattern) -> bool:
         """Equivalent to :func:`repro.core.lenses.emulates`: does the
@@ -333,7 +381,7 @@ class ResugarCache:
         # bindings unexpansion read off ``inner``), so desugaring ``back``
         # again reproduces this node unless a rule of higher priority
         # matches ``back`` first.
-        if ok:
+        if ok and self._recheck_priority:
             ok = self.rules.matching_rule(back, before=tag.index) is None
         return back, self._raw_bits(back), ok
 

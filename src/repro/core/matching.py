@@ -33,11 +33,20 @@ pattern with an equal tag.  Two relaxations are needed in practice:
 
 Pattern variables always capture the term *with* its tags, preserving
 origin information.
+
+Matching is compiled: :func:`compile_match` turns a pattern and its two
+flags into a closure that fills one environment, deciding the pattern's
+shape once instead of at every node of every match.  :func:`match` and
+:func:`matches` run through it (rule lists keep their rules' compiled
+forms, :class:`~repro.core.rules.RuleList`); :func:`match_explain` is
+Figure 3 written out as an interpreter, kept as the oracle the compiled
+matchers are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Mapping, Optional, Tuple
 
 from repro.core.bindings import Binding, Env, ListBinding, merge
 from repro.obs import _state as _obs
@@ -53,7 +62,12 @@ from repro.core.terms import (
     pattern_variables,
 )
 
-__all__ = ["match", "matches", "match_explain"]
+__all__ = ["match", "matches", "match_explain", "compile_match"]
+
+# A compiled pattern: ``fill(term, env)`` matches ``term``, adding the
+# bindings to ``env`` (which must start empty), and says whether it
+# matched.  On failure ``env`` holds partial bindings; discard it.
+Matcher = Callable[[Pattern, Env], bool]
 
 
 def match(
@@ -69,7 +83,7 @@ def match(
     will simply never match anything except a pattern variable.
     """
     env: Env = {}
-    ok = _match(term, pattern, see_through_tags, lenient_pattern_tags, env)
+    ok = compile_match(pattern, see_through_tags, lenient_pattern_tags)(term, env)
     if _obs.enabled:
         MATCH_ATTEMPTS.inc()
         if ok:
@@ -84,7 +98,9 @@ def matches(
     lenient_pattern_tags: bool = False,
 ) -> bool:
     """The paper's ``T >= P``: does ``term`` match ``pattern``?"""
-    result = _match(term, pattern, see_through_tags, lenient_pattern_tags, {})
+    result = compile_match(pattern, see_through_tags, lenient_pattern_tags)(
+        term, {}
+    )
     if _obs.enabled:
         MATCH_ATTEMPTS.inc()
         if result:
@@ -249,80 +265,175 @@ def _union(sigma1: Env, sigma2: Mapping[str, Binding]) -> Optional[Env]:
     return sigma1
 
 
-def _match(
-    term: Pattern, pattern: Pattern, see: bool, lenient: bool, env: Env
-) -> bool:
-    """Match ``term`` against ``pattern``, adding the bindings to ``env``.
+@lru_cache(maxsize=1024)
+def compile_match(
+    pattern: Pattern,
+    see_through_tags: bool = False,
+    lenient_pattern_tags: bool = False,
+) -> Matcher:
+    """Compile ``pattern`` under the two flags into a :data:`Matcher`.
 
-    One environment serves the whole match.  A variable bound twice (an
-    atomic duplicate, criterion 2's exception) must rebind an equal
-    term, the same check :func:`_union` makes on sibling environments.
+    The closures dispatch on the pattern's shape once, here, instead of
+    at every node of every match.  A variable's first occurrence in
+    matching order binds; a later one (an atomic duplicate, criterion
+    2's exception) must rebind an equal term, the check :func:`_union`
+    makes on sibling environments.  Compiled forms are cached per
+    ``(pattern, flags)``.
     """
-    cls = pattern.__class__
+    return _compile(pattern, see_through_tags, lenient_pattern_tags, set())
+
+
+def _compile(p: Pattern, see: bool, lenient: bool, bound: set) -> Matcher:
+    """The matcher of ``p``; ``bound`` holds the variables bound before
+    ``p`` is reached, and gains ``p``'s own."""
+    cls = p.__class__
     # T / x = {x -> T}: variables capture the term, tags included.
     if cls is PVar:
-        return _bind(env, pattern.name, term)
+        return _var(p.name, bound)
 
     if cls is Tagged:
-        if term.__class__ is Tagged and term.tag == pattern.tag:
-            return _match(term.term, pattern.term, see, lenient, env)
-        if lenient and isinstance(pattern.tag, BodyTag):
-            return _match(term, pattern.term, see, lenient, env)
-        return False
+        tag = p.tag
+        inner = _compile(p.term, see, lenient, bound)
+        if lenient and isinstance(tag, BodyTag):
+            # A body tag in the pattern may match an untagged term.
+            def fill(t, env):
+                if t.__class__ is Tagged and t.tag == tag:
+                    return inner(t.term, env)
+                return inner(t, env)
+        else:
+            def fill(t, env):
+                return t.__class__ is Tagged and t.tag == tag and inner(t.term, env)
+        return fill
 
     # The pattern is a constant, node, or list.  A tagged term matches it
     # only in see-through mode (expansion-time LHS matching).
-    if term.__class__ is Tagged:
-        return see and _match(term.term, pattern, see, lenient, env)
-
     if cls is Const:
-        return term.__class__ is Const and term == pattern
+        def fill(t, env):
+            if t.__class__ is Tagged:
+                if not see:
+                    return False
+                while t.__class__ is Tagged:
+                    t = t.term
+            return t.__class__ is Const and t == p
+        return fill
 
     if cls is Node:
-        if (
-            term.__class__ is not Node
-            or term.label != pattern.label
-            or len(term.children) != len(pattern.children)
-        ):
-            return False
-        for t_child, p_child in zip(term.children, pattern.children):
-            if not _match(t_child, p_child, see, lenient, env):
-                return False
-        return True
+        label, arity = p.label, len(p.children)
+        check = _sequence(p.children, see, lenient, bound)
+
+        def fill(t, env):
+            if t.__class__ is not Node:
+                if not see or t.__class__ is not Tagged:
+                    return False
+                while t.__class__ is Tagged:
+                    t = t.term
+                if t.__class__ is not Node:
+                    return False
+            children = t.children
+            return (
+                t.label == label
+                and len(children) == arity
+                and check(children, env)
+            )
+        return fill
 
     if cls is PList:
-        if term.__class__ is not PList or term.ellipsis is not None:
-            return False
-        items = term.items
-        n = len(pattern.items)
-        ellipsis = pattern.ellipsis
+        n = len(p.items)
+        prefix = _sequence(p.items, see, lenient, bound)
+        ellipsis = p.ellipsis
         if ellipsis is None:
-            if len(items) != n:
-                return False
-        elif len(items) < n:
-            return False
-        for t_item, p_item in zip(items, pattern.items):
-            if not _match(t_item, p_item, see, lenient, env):
-                return False
-        if ellipsis is None:
-            return True
-        if ellipsis.__class__ is PVar:
+            def rest(items, env):
+                return True
+        elif ellipsis.__class__ is PVar:
             # A bare repeated variable: the rest of the list is its binding.
-            return _bind(env, ellipsis.name, ListBinding(items[n:]))
-        rep_envs = []
-        for t_item in items[n:]:
-            sub: Env = {}
-            if not _match(t_item, ellipsis, see, lenient, sub):
+            rest_var = _var(ellipsis.name, bound)
+
+            def rest(items, env):
+                return rest_var(ListBinding(items[n:]), env)
+        else:
+            repeat = _compile(ellipsis, see, lenient, set())
+            names = tuple(dict.fromkeys(pattern_variables(ellipsis)))
+            binders = tuple(_var(name, bound) for name in names)
+
+            def rest(items, env):
+                reps = []
+                for item in items[n:]:
+                    sub: Env = {}
+                    if not repeat(item, sub):
+                        return False
+                    reps.append(sub)
+                for name, bind in zip(names, binders):
+                    if not bind(ListBinding(tuple([r[name] for r in reps])), env):
+                        return False
+                return True
+
+        exact = ellipsis is None
+
+        def fill(t, env):
+            if t.__class__ is not PList:
+                if not see or t.__class__ is not Tagged:
+                    return False
+                while t.__class__ is Tagged:
+                    t = t.term
+                if t.__class__ is not PList:
+                    return False
+            if t.ellipsis is not None:
                 return False
-            rep_envs.append(sub)
-        merged = merge(rep_envs, dict.fromkeys(pattern_variables(ellipsis)))
-        return all(_bind(env, name, b) for name, b in merged.items())
+            items = t.items
+            if len(items) < n or exact and len(items) != n:
+                return False
+            return prefix(items, env) and rest(items, env)
+        return fill
 
-    return False
+    def fill(t, env):
+        return False
+    return fill
 
 
-def _bind(env: Env, name: str, b: Binding) -> bool:
-    if name in env:
-        return env[name] == b
-    env[name] = b
-    return True
+def _var(name: str, bound: set) -> Matcher:
+    """Bind ``name``, or check an earlier binding of it is equal."""
+    if name in bound:
+        def fill(t, env):
+            return env[name] == t
+    else:
+        bound.add(name)
+
+        def fill(t, env):
+            env[name] = t
+            return True
+    return fill
+
+
+def _sequence(parts, see: bool, lenient: bool, bound: set):
+    """A checker ``(terms, env) -> bool`` matching ``terms`` pairwise
+    against ``parts`` (the caller checks the length).  Variables bind
+    straight from the term tuple; the other parts run their matchers
+    after them."""
+    binds = []
+    checks = []
+    for i, part in enumerate(parts):
+        if part.__class__ is PVar and part.name not in bound:
+            binds.append((part.name, i))
+            bound.add(part.name)
+        else:
+            checks.append((i, part))
+    if not checks:
+        names = tuple(name for name, _i in binds)
+
+        def check(terms, env):
+            env.update(zip(names, terms))
+            return True
+        return check
+    slots = tuple(binds)
+    compiled = tuple(
+        (i, _compile(part, see, lenient, bound)) for i, part in checks
+    )
+
+    def check(terms, env):
+        for name, i in slots:
+            env[name] = terms[i]
+        for i, fill in compiled:
+            if not fill(terms[i], env):
+                return False
+        return True
+    return check

@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.bindings import Binding, restrict, right_biased_union
+from repro.core.bindings import Binding
 from repro.core.errors import ExpansionError
-from repro.core.intern import is_interned
-from repro.core.matching import match, matches
+from repro.core.intern import CANONICAL, PLAIN, is_interned
+from repro.core.matching import Matcher, compile_match
 from repro.core.substitution import (
+    Builder,
+    compile_subst,
     is_canonical_binding,
-    subst,
-    subst_canonical,
 )
 from repro.core.tags import insert_body_tags
 from repro.core.terms import Node, Pattern, pattern_variables
@@ -38,6 +38,8 @@ from repro.core.wellformed import (
     check_disjointness,
     check_rule_wellformed,
 )
+from repro.obs import _state as _obs
+from repro.obs.metrics import MATCH_ATTEMPTS, MATCH_SUCCESSES
 
 __all__ = ["Rule", "RuleList", "Expansion"]
 
@@ -94,8 +96,40 @@ class Expansion:
     stand_in: Tuple[Tuple[str, Binding], ...]
 
 
+class _Compiled:
+    """One rule's compiled forms (:mod:`repro.core.matching`,
+    :mod:`repro.core.substitution`): the LHS matcher of expansion, the
+    tagged-RHS matcher of unexpansion, and the builders of both sides."""
+
+    __slots__ = (
+        "lhs", "rhs", "rhs_plain", "rhs_canonical", "lhs_plain",
+        "lhs_canonical", "dropped",
+    )
+
+    def __init__(self, rule: Rule) -> None:
+        self.lhs: Matcher = compile_match(rule.lhs, True, False)
+        self.rhs: Matcher = compile_match(rule.tagged_rhs, False, True)
+        self.rhs_plain: Builder = compile_subst(rule.tagged_rhs, PLAIN)
+        self.rhs_canonical: Builder = compile_subst(rule.tagged_rhs, CANONICAL)
+        self.lhs_plain: Builder = compile_subst(rule.lhs, PLAIN)
+        self.lhs_canonical: Builder = compile_subst(rule.lhs, CANONICAL)
+        # The stand-in's names, in the order the head tag stores them.
+        self.dropped = tuple(sorted(rule.dropped_vars))
+
+
+def _counted(ok: bool) -> None:
+    """Move the ``match.*`` counters for one match (observability on)."""
+    MATCH_ATTEMPTS.inc()
+    if ok:
+        MATCH_SUCCESSES.inc()
+
+
 class RuleList:
-    """An ordered, statically checked list of transformation rules."""
+    """An ordered, statically checked list of transformation rules.
+
+    Each rule is compiled on its first use, not at construction, so a
+    rule list costs nothing to build beyond its static checks.
+    """
 
     def __init__(
         self,
@@ -117,6 +151,18 @@ class RuleList:
         for i, rule in enumerate(self.rules):
             arity = len(rule.lhs.children) if isinstance(rule.lhs, Node) else -1
             self._by_label.setdefault(rule.label, []).append((i, arity))
+        self._compiled: list = [None] * len(self.rules)
+
+    def _compile(self, index: int) -> _Compiled:
+        """Compile rule ``index`` (on its first use)."""
+        forms = self._compiled[index] = _Compiled(self.rules[index])
+        return forms
+
+    def __getstate__(self) -> dict:
+        # Closures do not pickle; a copy recompiles on its first use.
+        state = dict(self.__dict__)
+        state["_compiled"] = [None] * len(self.rules)
+        return state
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -148,18 +194,17 @@ class RuleList:
         for index, arity in self._by_label.get(term.label, ()):
             if arity >= 0 and arity != term_arity:
                 continue
-            rule = self.rules[index]
-            sigma = match(term, rule.lhs, see_through_tags=True)
-            if sigma is None:
+            forms = self._compiled[index] or self._compile(index)
+            sigma: dict = {}
+            ok = forms.lhs(term, sigma)
+            if _obs.enabled:
+                _counted(ok)
+            if not ok:
                 continue
             # The bindings of a canonical term are canonical subterms.
-            if is_interned(term):
-                expanded = subst_canonical(sigma, rule.tagged_rhs)
-            else:
-                expanded = subst(sigma, rule.tagged_rhs)
-            dropped = restrict(sigma, rule.dropped_vars)
-            stand_in = tuple(sorted(dropped.items(), key=lambda kv: kv[0]))
-            return Expansion(index, expanded, stand_in)
+            build = forms.rhs_canonical if is_interned(term) else forms.rhs_plain
+            stand_in = tuple((name, sigma[name]) for name in forms.dropped)
+            return Expansion(index, build(sigma), stand_in)
         return None
 
     def matching_rule(
@@ -176,7 +221,11 @@ class RuleList:
                 return None
             if arity >= 0 and arity != term_arity:
                 continue
-            if matches(term, self.rules[index].lhs, see_through_tags=True):
+            forms = self._compiled[index] or self._compile(index)
+            ok = forms.lhs(term, {})
+            if _obs.enabled:
+                _counted(ok)
+            if ok:
                 return index
         return None
 
@@ -197,16 +246,20 @@ class RuleList:
         """
         if not 0 <= index < len(self.rules):
             raise ExpansionError(f"head tag references unknown rule index {index}")
-        rule = self.rules[index]
-        sigma = match(
-            term, rule.tagged_rhs, see_through_tags=False,
-            lenient_pattern_tags=True,
-        )
-        if sigma is None:
+        forms = self._compiled[index] or self._compile(index)
+        sigma: dict = {}
+        ok = forms.rhs(term, sigma)
+        if _obs.enabled:
+            _counted(ok)
+        if not ok:
             return None
-        merged = right_biased_union(dict(stand_in), sigma)
+        if stand_in:
+            merged = dict(stand_in)
+            merged.update(sigma)
+        else:
+            merged = sigma
         if is_interned(term) and all(
             is_canonical_binding(b) for _name, b in stand_in
         ):
-            return subst_canonical(merged, rule.lhs)
-        return subst(merged, rule.lhs)
+            return forms.lhs_canonical(merged)
+        return forms.lhs_plain(merged)

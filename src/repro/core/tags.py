@@ -106,12 +106,15 @@ def has_head_tags(t: Pattern) -> bool:
 
 def is_surface_term(t: Pattern) -> bool:
     """Definition 2: a surface term is a term without any tags."""
-    if isinstance(t, Tagged):
-        return False
-    if isinstance(t, Node):
-        return all(is_surface_term(c) for c in t.children)
-    if isinstance(t, PList):
-        if not all(is_surface_term(c) for c in t.items):
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Tagged):
             return False
-        return t.ellipsis is None or is_surface_term(t.ellipsis)
+        if isinstance(t, Node):
+            todo.extend(t.children)
+        elif isinstance(t, PList):
+            todo.extend(t.items)
+            if t.ellipsis is not None:
+                todo.append(t.ellipsis)
     return True

@@ -40,10 +40,10 @@ than dataclasses so they can carry extra slots:
   :mod:`repro.core.intern`.  Interned terms are canonical: structurally
   equal interned terms are pointer-identical, so ``==`` degenerates to
   ``is`` and caches can key on identity.
-* ``_names`` (not on :class:`Const`) — the string constants the term
-  contains (:func:`names_of`), computed and set on first use.  A
-  substitution asks :func:`mentions` at each subterm and returns the
-  subterms that never mention its variable untouched, by identity.
+* ``_free`` (not on :class:`Const`) — the names the term has *free*
+  under a backend's binder table (:func:`free_names`), set on first
+  use.  A substitution asks it at each subterm and returns the subterms
+  where its variable is not free untouched, by identity.
 
 ``__eq__`` additionally fast-paths on identity and on cached-hash
 disagreement before falling back to the structural walk.
@@ -52,7 +52,7 @@ disagreement before falling back to the structural walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.core.errors import PatternError
 
@@ -75,8 +75,7 @@ __all__ = [
     "variable_depths",
     "strip_tags",
     "untagged",
-    "names_of",
-    "mentions",
+    "free_names",
     "strip_body_tags",
     "subterms",
     "term_size",
@@ -178,7 +177,7 @@ class Const(Pattern):
 class Node(Pattern):
     """A labeled node ``l(P1, ..., Pn)`` with fixed arity."""
 
-    __slots__ = ("label", "children", "_hash", "_interned", "_names")
+    __slots__ = ("label", "children", "_hash", "_interned", "_free")
 
     def __init__(self, label: str, children: Tuple[Pattern, ...] = ()) -> None:
         if not isinstance(label, str) or not label:
@@ -226,7 +225,7 @@ class PList(Pattern):
     has ``ellipsis is None``.
     """
 
-    __slots__ = ("items", "ellipsis", "_hash", "_interned", "_names")
+    __slots__ = ("items", "ellipsis", "_hash", "_interned", "_free")
 
     def __init__(
         self,
@@ -312,7 +311,7 @@ class BodyTag(Tag):
 class Tagged(Pattern):
     """``(Tag O P)``: a pattern or term carrying an origin tag."""
 
-    __slots__ = ("tag", "term", "_hash", "_interned", "_names")
+    __slots__ = ("tag", "term", "_hash", "_interned", "_free")
 
     def __init__(self, tag: Tag, term: Pattern) -> None:
         if not isinstance(tag, Tag):
@@ -430,20 +429,34 @@ def untagged(t: Pattern) -> Pattern:
 _NO_NAMES: frozenset = frozenset()
 
 
-def names_of(t: Pattern) -> frozenset:
-    """The string constants anywhere in ``t``: every variable name it can
-    mention.  Cached in the node's ``_names`` slot; a parent whose set
-    equals one child's shares that child's set object."""
+# A backend's binder table: node label -> (the names such a node binds,
+# the child positions they scope over; ``None`` for every child).
+Binders = Dict[str, Tuple[Callable[["Node"], Iterable[str]], Optional[Tuple[int, ...]]]]
+
+
+def free_names(t: Pattern, binders: Binders) -> frozenset:
+    """The string constants of ``t`` outside the scope of a binder of
+    the same name, under ``binders``: every variable a substitution into
+    ``t`` can reach.  A superset of the free variables proper (a binder
+    position or a literal counts too when not shadowed), so a name
+    outside it is certainly not free.  Cached in the node's ``_free``
+    slot for the last table asked; a parent whose set equals one
+    child's shares that child's set object."""
     cls = t.__class__
     if cls is Const:
         v = t.value
         return frozenset((v,)) if v.__class__ is str else _NO_NAMES
     try:
-        return t._names  # unset until first asked: constructors skip it
+        table, cached = t._free
     except AttributeError:
         pass
+    else:
+        if table is binders:
+            return cached
+    binder = None
     if cls is Node:
         parts = t.children
+        binder = binders.get(t.label)
     elif cls is PList:
         parts = t.items if t.ellipsis is None else t.items + (t.ellipsis,)
     elif cls is Tagged:
@@ -451,23 +464,20 @@ def names_of(t: Pattern) -> frozenset:
     else:
         return _NO_NAMES
     names = _NO_NAMES
-    for part in parts:
-        sub = names_of(part)
+    if binder is not None:
+        bound_by, scope = binder
+        bound = frozenset(bound_by(t))
+    for i, part in enumerate(parts):
+        sub = free_names(part, binders)
+        if binder is not None and bound and (scope is None or i in scope):
+            sub = sub - bound
         if not sub or sub is names:
             continue
         names = sub if not names else (
             names if sub <= names else names | sub
         )
-    object.__setattr__(t, "_names", names)
+    object.__setattr__(t, "_free", (binders, names))
     return names
-
-
-def mentions(t: Pattern, name: str) -> bool:
-    """Does ``t`` contain the string constant ``name`` anywhere?  O(1)
-    after the first :func:`names_of` of ``t``."""
-    if t.__class__ is Const:
-        return t.value.__class__ is str and t.value == name
-    return name in names_of(t)
 
 
 def strip_tags(t: Pattern) -> Pattern:

@@ -52,6 +52,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from repro.core.desugar import desugar, resugar
 from repro.core.errors import ReproError
 from repro.core.incremental import ResugarCache
+from repro.core.intern import intern
 from repro.core.lenses import emulates
 from repro.core.lift import (
     EmulationViolation,
@@ -62,6 +63,7 @@ from repro.core.lift import (
 )
 from repro.core.recursion import deep_recursion
 from repro.core.rules import RuleList
+from repro.core.tags import is_surface_term
 from repro.core.terms import Pattern
 from repro.engine.config import LiftConfig
 from repro.engine.events import (
@@ -295,7 +297,14 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
     stats = cache.stats if cache else None
     # Desugar once, through the cache.  Its Emulation checks desugar
     # nothing: the resugaring walk decides them node by node.
-    core = cache.desugar(surface_term) if cache else desugar(rules, surface_term)
+    if cache:
+        surface_term = intern(surface_term)
+        core = cache.desugar(surface_term)
+    else:
+        core = desugar(rules, surface_term)
+    # Theorem 2 (resugar . desugar = id): a tag-free program is its own
+    # surface at step 0, and Emulation holds there by construction.
+    program = surface_term if cache and is_surface_term(surface_term) else None
     frontier = deque([(stepper.load(core), None)])
     budget = _Budget(config)
     check_emulation, dedup = config.check_emulation, config.dedup
@@ -333,10 +342,26 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
                 else emulates(rules, surface, term)
             )
             if not faithful:
-                raise EmulationViolation(
-                    f"surface {'node' if tree else 'step'} {surface} does "
-                    f"not desugar into the core term it represents: {term}"
-                )
+                raise violation(surface, term)
+        return emit(index, term, surface, parent)
+
+    def violation(surface, term):
+        return EmulationViolation(
+            f"surface {'node' if tree else 'step'} {surface} does "
+            f"not desugar into the core term it represents: {term}"
+        )
+
+    def classify_shown(term: Pattern, index: int, parent):
+        """``classify`` with observability off: the cache decides a
+        root-exposed skip before resugaring, and the program itself is
+        shown with no resugaring and no Emulation check."""
+        if term is core and program is not None:
+            return emit(index, term, program, parent)
+        surface = cache.resugar_shown(term)
+        if surface is None:
+            return StepSkipped(index, term), "skipped"
+        if check_emulation and not cache.emulates(surface, term):
+            raise violation(surface, term)
         return emit(index, term, surface, parent)
 
     if _obs.enabled:
@@ -369,6 +394,8 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
                 MATCH_ATTEMPTS.value - attempts_before
             )
             _OUTCOME_COUNTERS[outcome].inc()
+        elif cache is not None:
+            event, outcome = classify_shown(term, index, parent)
         else:
             event, outcome = classify(term, index, parent)
         yield event

@@ -13,10 +13,11 @@ all other structure is kept with tags preserved (Definition 4).
 Sharing: a subterm in which nothing was replaced is returned as the very
 same object, so the untouched parts of a contractum stay canonical
 (:mod:`repro.core.intern`) and re-interning it stops at them.  A subterm
-that never mentions the variable (:func:`~repro.core.terms.mentions`,
-cached on the node) is returned without being walked at all.  When the
-term and the value are both canonical, :func:`substitute` builds the
-rebuilt spine canonical too, one intern probe per node.
+where the variable is not free (:func:`~repro.core.terms.free_names`
+under :data:`BINDERS`, cached on the node) is returned without being
+walked at all.  When the term and the value are both canonical,
+:func:`substitute` builds the rebuilt spine canonical too, one intern
+probe per node.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from typing import Callable, Optional
 
 from repro.core.intern import CANONICAL, PLAIN, Builders, is_interned
 from repro.core.terms import (
+    Binders,
     Const,
     Node,
     Pattern,
     PList,
     Tagged,
-    mentions,
+    free_names,
     untagged,
 )
 
@@ -53,6 +55,13 @@ def _param_of(lam_node: Node) -> Optional[str]:
     if isinstance(bare, Const) and isinstance(bare.value, str):
         return bare.value
     return None
+
+
+# The lambda core's one binder: ``Lam`` binds its parameter in the whole
+# node (a shadowed lambda is returned as it stands).
+BINDERS: Binders = {
+    "Lam": (lambda lam: (_param_of(lam),), None),
+}
 
 
 def _target_name(node: Node) -> Optional[str]:
@@ -112,7 +121,7 @@ def _walk(
     on_set: Optional[Callable[[Pattern], Pattern]],
     make: Builders = PLAIN,
 ) -> Pattern:
-    if not mentions(term, name):
+    if term.__class__ is Const or name not in free_names(term, BINDERS):
         return term
 
     if isinstance(term, Tagged):

@@ -97,15 +97,12 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
-from dataclasses import dataclass
-
 from repro.engine.events import BatchLifted, JobError
 from repro.lang.textmemo import memo_printer
 from repro.parallel.jobs import LiftJob, as_job
 
 __all__ = [
     "PAYLOADS",
-    "CallResult",
     "WarmPool",
     "lift_corpus",
     "lift_corpus_stream",
@@ -311,44 +308,6 @@ def _pool_run_chunk(
     )
 
 
-@dataclass(frozen=True)
-class CallResult:
-    """Outcome of one :meth:`WarmPool.map_engine` call: either a value
-    or a contained error, tagged with the submission index."""
-
-    index: int
-    value: object = None
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-    worker: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error_type is None
-
-
-def _call_on_engine(engine, index: int, fn: Callable, payload) -> CallResult:
-    """Run one generic engine call to a :class:`CallResult`; same
-    containment contract as :func:`_execute_job`."""
-    try:
-        return CallResult(
-            index=index, value=fn(engine, payload), worker=os.getpid()
-        )
-    except Exception as exc:
-        return CallResult(
-            index=index,
-            error_type=type(exc).__name__,
-            error_message=str(exc),
-            worker=os.getpid(),
-        )
-
-
-def _pool_call(index: int, fn: Callable, payload) -> CallResult:
-    """Worker-side entry for :meth:`WarmPool.map_engine`, against the
-    warmed engine."""
-    return _call_on_engine(_WORKER_ENGINE, index, fn, payload)
-
-
 def _check_options(payload: str, pretty: Optional[Callable]) -> None:
     if payload not in PAYLOADS:
         raise ValueError(f"payload must be one of {PAYLOADS}, got {payload!r}")
@@ -538,70 +497,6 @@ class WarmPool:
             while pending:
                 *_, future = pending.popleft()
                 future.cancel()
-
-    def map_engine(
-        self, fn: Callable, payloads: Sequence, *, window: Optional[int] = None
-    ) -> List[CallResult]:
-        """Run ``fn(engine, payload)`` for each payload on the warm
-        workers, returning :class:`CallResult` outcomes in submission
-        order.
-
-        This is the generic sibling of :meth:`run` for batch work that
-        is not a lift — rule synthesis uses it to check candidate rules
-        against the warmed reference engine without re-building rule
-        tables per candidate.  ``fn`` must be a picklable module-level
-        function; exceptions it raises are contained per call, exactly
-        like job errors in :meth:`run`.
-        """
-        payloads = list(payloads)
-        if self.jobs == 1:
-            with self._run_lock:
-                if self._local is None:
-                    self._local = _attach_cache(
-                        _resolve_engine(self.engine), self.cache_dir
-                    )
-                return [
-                    _call_on_engine(self._local, i, fn, payload)
-                    for i, payload in enumerate(payloads)
-                ]
-        if window is None:
-            window = 4 * self.jobs
-        pool = self._ensure_executor()
-        results: List[CallResult] = []
-        pending: deque = deque()
-        upcoming = iter(enumerate(payloads))
-
-        def submit_next() -> bool:
-            try:
-                index, payload = next(upcoming)
-            except StopIteration:
-                return False
-            pending.append((index, pool.submit(_pool_call, index, fn, payload)))
-            return True
-
-        try:
-            for _ in range(window):
-                if not submit_next():
-                    break
-            while pending:
-                index, future = pending.popleft()
-                submit_next()
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    # The call function never raises; the pool broke.
-                    results.append(
-                        CallResult(
-                            index=index,
-                            error_type=type(exc).__name__,
-                            error_message=str(exc),
-                        )
-                    )
-        finally:
-            while pending:
-                _, future = pending.popleft()
-                future.cancel()
-        return results
 
     def shutdown(
         self, wait: bool = True, cancel_pending: bool = True

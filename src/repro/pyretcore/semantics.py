@@ -25,13 +25,14 @@ from types import MappingProxyType
 from repro.core.errors import StuckError
 from repro.core.intern import CANONICAL, PLAIN, Builders, is_interned
 from repro.core.terms import (
+    Binders,
     Const,
     Node,
     Pattern,
     PList,
     PVar,
     Tagged,
-    mentions,
+    free_names,
     strip_tags,
     untagged,
 )
@@ -108,8 +109,9 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
 
     A subterm in which nothing was replaced is returned as the same
     object, so the contractum shares (and stays interned on) everything
-    the substitution did not touch; a subterm that never mentions
-    ``name`` (:func:`~repro.core.terms.mentions`) is not walked at all.
+    the substitution did not touch; a subterm where ``name`` is not
+    free (:func:`~repro.core.terms.free_names` under :data:`BINDERS`)
+    is not walked at all.
     When ``term`` and ``value`` are canonical, the rebuilt spine is
     built canonical, one intern probe per node."""
     canonical = is_interned(term) and is_interned(value)
@@ -117,7 +119,7 @@ def substitute(term: Pattern, name: str, value: Pattern) -> Pattern:
 
 
 def _subst(term: Pattern, name: str, value: Pattern, make: Builders) -> Pattern:
-    if not mentions(term, name):
+    if term.__class__ is Const or name not in free_names(term, BINDERS):
         return term
     if isinstance(term, Tagged):
         bare = untagged(term)
@@ -170,6 +172,21 @@ def _param_names(lam_node: Node):
             if isinstance(bp, Const) and isinstance(bp.value, str):
                 names.append(bp.value)
     return names
+
+
+def _let_name(node: Node):
+    bound = untagged(node.children[0])
+    return (bound.value,) if isinstance(bound, Const) else ()
+
+
+# Pyret's binders, as ``_subst`` reads them: a lambda binds its
+# parameters in the whole node; ``Let`` and ``DefRec`` bind their name
+# in the body (position 2), not in the bound expression.
+BINDERS: Binders = {
+    "Lam": (_param_names, None),
+    "Let": (_let_name, (0, 2)),
+    "DefRec": (_let_name, (0, 2)),
+}
 
 
 # --- rules ------------------------------------------------------------

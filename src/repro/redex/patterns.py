@@ -19,6 +19,7 @@ terms with tags intact, so captured subterms keep their origins).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Number
 from typing import TYPE_CHECKING, Optional
 
@@ -38,7 +39,13 @@ from repro.core.terms import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.redex.grammar import Grammar
 
-__all__ = ["NTRef", "AtomPred", "redex_match", "strip_outer_tags"]
+__all__ = [
+    "NTRef",
+    "AtomPred",
+    "redex_match",
+    "compile_redex_match",
+    "strip_outer_tags",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,75 +112,139 @@ def strip_outer_tags(t: Pattern) -> Pattern:
     return t
 
 
+def _tag_wrapper(redex: Pattern):
+    """A function rewrapping a contractum in ``redex``'s outer tags."""
+    tags = []
+    while isinstance(redex, Tagged):
+        tags.append(redex.tag)
+        redex = redex.term
+    if not tags:
+        return None
+
+    def rewrap(term: Pattern) -> Pattern:
+        for tag in reversed(tags):
+            term = Tagged(tag, term)
+        return term
+
+    return rewrap
+
+
 def redex_match(
     term: Pattern, pattern: Pattern, grammar: "Grammar"
 ) -> Optional[Env]:
     """Match ``term`` against a redex pattern, consulting ``grammar`` for
     nonterminal references.  Tags on the term are transparent; pattern
     variables and nonterminal bindings capture the *tagged* term."""
-    if isinstance(pattern, PVar):
-        return {pattern.name: term}
-    if isinstance(pattern, NTRef):
-        if not grammar.matches(term, pattern.nonterminal):
-            return None
-        return {pattern.name: term} if pattern.name else {}
-    if isinstance(pattern, AtomPred):
-        bare = strip_outer_tags(term)
-        if not pattern.accepts(bare):
-            return None
-        return {pattern.name: bare} if pattern.name else {}
+    env: Env = {}
+    return env if compile_redex_match(pattern, grammar)(term, env) else None
 
-    bare = strip_outer_tags(term)
 
-    if isinstance(pattern, Const):
-        return {} if (isinstance(bare, Const) and bare == pattern) else None
+@lru_cache(maxsize=1024)
+def compile_redex_match(pattern: Pattern, grammar: "Grammar"):
+    """Compile a redex pattern into ``fill(term, env) -> bool``, which
+    matches ``term`` and adds the bindings to ``env``, as
+    :func:`redex_match` does.  A variable bound twice keeps its last
+    binding.  Cached per ``(pattern, grammar)``; reduction semantics
+    keep their rules' compiled matchers
+    (:class:`~repro.redex.reduction.ReductionSemantics`)."""
+    cls = pattern.__class__
+    if cls is PVar:
+        name = pattern.name
 
-    if isinstance(pattern, Node):
-        if (
-            not isinstance(bare, Node)
-            or bare.label != pattern.label
-            or len(bare.children) != len(pattern.children)
-        ):
-            return None
-        out: Env = {}
-        for t_child, p_child in zip(bare.children, pattern.children):
-            sub = redex_match(t_child, p_child, grammar)
-            if sub is None:
-                return None
-            out.update(sub)
-        return out
+        def fill(t, env):
+            env[name] = t
+            return True
+        return fill
+    if cls is NTRef:
+        nonterminal, name, derives = (
+            pattern.nonterminal, pattern.name, grammar.matches
+        )
 
-    if isinstance(pattern, PList):
-        if not isinstance(bare, PList) or bare.ellipsis is not None:
-            return None
+        def fill(t, env):
+            if not derives(t, nonterminal):
+                return False
+            if name:
+                env[name] = t
+            return True
+        return fill
+    if cls is AtomPred:
+        name, accepts = pattern.name, pattern.accepts
+
+        def fill(t, env):
+            while t.__class__ is Tagged:
+                t = t.term
+            if not accepts(t):
+                return False
+            if name:
+                env[name] = t
+            return True
+        return fill
+
+    if cls is Const:
+        def fill(t, env):
+            while t.__class__ is Tagged:
+                t = t.term
+            return t.__class__ is Const and t == pattern
+        return fill
+
+    if cls is Node:
+        label, arity = pattern.label, len(pattern.children)
+        kids = tuple(compile_redex_match(c, grammar) for c in pattern.children)
+
+        def fill(t, env):
+            while t.__class__ is Tagged:
+                t = t.term
+            if t.__class__ is not Node or t.label != label:
+                return False
+            children = t.children
+            if len(children) != arity:
+                return False
+            for kid, child in zip(kids, children):
+                if not kid(child, env):
+                    return False
+            return True
+        return fill
+
+    if cls is PList:
         n = len(pattern.items)
-        if pattern.ellipsis is None:
-            if len(bare.items) != n:
-                return None
-        elif len(bare.items) < n:
-            return None
-        out = {}
-        for t_item, p_item in zip(bare.items[:n], pattern.items):
-            sub = redex_match(t_item, p_item, grammar)
-            if sub is None:
-                return None
-            out.update(sub)
-        if pattern.ellipsis is not None:
-            rep_envs = []
-            for t_item in bare.items[n:]:
-                sub = redex_match(t_item, pattern.ellipsis, grammar)
-                if sub is None:
-                    return None
-                rep_envs.append(sub)
-            out.update(merge(rep_envs, _ellipsis_variables(pattern.ellipsis)))
-        return out
+        kids = tuple(compile_redex_match(c, grammar) for c in pattern.items)
+        ellipsis = pattern.ellipsis
+        if ellipsis is not None:
+            repeat = compile_redex_match(ellipsis, grammar)
+            names = _ellipsis_variables(ellipsis)
+        else:
+            repeat = names = None
 
-    if isinstance(pattern, Tagged):
+        def fill(t, env):
+            while t.__class__ is Tagged:
+                t = t.term
+            if t.__class__ is not PList or t.ellipsis is not None:
+                return False
+            items = t.items
+            if len(items) < n or ellipsis is None and len(items) != n:
+                return False
+            for kid, item in zip(kids, items):
+                if not kid(item, env):
+                    return False
+            if ellipsis is not None:
+                reps = []
+                for item in items[n:]:
+                    sub: Env = {}
+                    if not repeat(item, sub):
+                        return False
+                    reps.append(sub)
+                env.update(merge(reps, names))
+            return True
+        return fill
+
+    if cls is Tagged:
         # Reduction-rule patterns are tag-free by construction; accept a
         # tagged pattern defensively by ignoring the tag.
-        return redex_match(term, pattern.term, grammar)
+        return compile_redex_match(pattern.term, grammar)
 
-    raise PatternError(f"not a redex pattern: {pattern!r}")
+    def fill(t, env):
+        raise PatternError(f"not a redex pattern: {pattern!r}")
+    return fill
 
 
 def _ellipsis_variables(pattern: Pattern) -> tuple:

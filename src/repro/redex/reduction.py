@@ -29,7 +29,7 @@ from repro.core.terms import Node, Pattern, Tagged
 from repro.obs import _state as _obs
 from repro.obs.metrics import REDEX_DECOMPOSE_DEPTH
 from repro.redex.grammar import Grammar
-from repro.redex.patterns import redex_match
+from repro.redex.patterns import _tag_wrapper, compile_redex_match
 from repro.redex.strategy import EvalStrategy
 
 __all__ = [
@@ -52,24 +52,9 @@ def make_store(mapping: Dict) -> "Store":
     return MappingProxyType(dict(mapping))
 
 
-def _tag_wrapper(redex: Pattern):
-    """A function rewrapping a contractum in ``redex``'s outer tags."""
-    tags = []
-    while isinstance(redex, Tagged):
-        tags.append(redex.tag)
-        redex = redex.term
-    if not tags:
-        return None
-
-    def rewrap(term: Pattern) -> Pattern:
-        for tag in reversed(tags):
-            term = Tagged(tag, term)
-        return term
-
-    return rewrap
-
-
 RuleResult = Union[Pattern, Tuple[Pattern, "Store"]]
+# A redex's candidate rules, each with its compiled LHS matcher.
+Candidates = Tuple[Tuple["ReductionRule", Callable[[Pattern, Env], bool]], ...]
 RhsFunction = Callable[[Env, "Store"], Union[RuleResult, List[RuleResult]]]
 
 
@@ -169,24 +154,33 @@ class ReductionSemantics:
                 self._by_label.setdefault(lhs.label, []).append(i)
             else:
                 self._wildcard.append(i)
+        # label (None: a redex that is not a node) -> its candidates,
+        # built with their compiled matchers on the label's first redex
+        self._candidates: Dict[Optional[str], Candidates] = {}
 
-    def _candidate_rules(self, redex: Pattern) -> List[ReductionRule]:
+    def __getstate__(self) -> dict:
+        # Compiled matchers do not pickle; a copy recompiles on first use.
+        state = dict(self.__dict__)
+        state["_candidates"] = {}
+        return state
+
+    def _candidate_rules(self, redex: Pattern) -> Candidates:
         """The rules whose LHS could possibly match ``redex``, in
-        priority order."""
+        priority order, each with its compiled LHS matcher
+        (:func:`~repro.redex.patterns.compile_redex_match`): one tuple
+        per label, built once."""
         bare = redex
         while isinstance(bare, Tagged):
             bare = bare.term
-        if not isinstance(bare, Node):
-            indices = self._wildcard
-        else:
-            labeled = self._by_label.get(bare.label, ())
-            if not self._wildcard:
-                indices = labeled
-            elif not labeled:
-                indices = self._wildcard
-            else:
-                indices = sorted((*labeled, *self._wildcard))
-        return [self.rules[i] for i in indices]
+        label = bare.label if isinstance(bare, Node) else None
+        found = self._candidates.get(label)
+        if found is None:
+            indices = sorted((*self._by_label.get(label, ()), *self._wildcard))
+            found = self._candidates[label] = tuple(
+                (self.rules[i], compile_redex_match(self.rules[i].lhs, self.grammar))
+                for i in indices
+            )
+        return found
 
     def is_value(self, term: Pattern) -> bool:
         # Interned terms are pointer-canonical, so their value verdicts
@@ -223,9 +217,9 @@ class ReductionSemantics:
         if _obs.enabled:
             REDEX_DECOMPOSE_DEPTH.observe(decomposition.depth)
         redex, plug = decomposition.redex, decomposition.plug
-        for rule in self._candidate_rules(redex):
-            env = redex_match(redex, rule.lhs, self.grammar)
-            if env is None:
+        for rule, fill in self._candidate_rules(redex):
+            env: Env = {}
+            if not fill(redex, env):
                 continue
             if rule.control:
                 # The rule's results are whole programs, not contractums.

@@ -63,6 +63,7 @@ from repro.core.recursion import deep_recursion
 from repro.core.terms import Node, Pattern, PList, Tagged
 from repro.obs import _state as _obs
 from repro.obs.metrics import REDEX_DECOMPOSE_DEPTH
+from repro.redex.patterns import _tag_wrapper
 
 __all__ = [
     "TagFrame",
@@ -454,11 +455,11 @@ class RefocusMachine:
         Falls back to a plain (naive) :class:`MachineState` for the
         pathological case of a non-ground contractum, which cannot be
         interned and therefore cannot key the hash-consing tables."""
-        from repro.redex.reduction import MachineState
-
         focus = intern(contractum)
         if is_interned(focus):
             return RefocusState(focus, context, store)
+        from repro.redex.reduction import MachineState
+
         return MachineState(plug_context(context, contractum), store)
 
     # -- the Stepper-shaped machine interface --------------------------
@@ -491,9 +492,6 @@ class RefocusMachine:
         """All successor states, observably identical to root-restart
         stepping (raises :class:`~repro.core.errors.StuckError` exactly
         when the naive stepper would)."""
-        from repro.redex.patterns import redex_match
-        from repro.redex.reduction import MachineState, _tag_wrapper
-
         self._check_generation()
         semantics = self.semantics
         with deep_recursion():
@@ -515,9 +513,9 @@ class RefocusMachine:
                 state._snapshot = focus
                 return self._delegate(focus, state.store)
 
-            for rule in semantics._candidate_rules(focus):
-                env = redex_match(focus, rule.lhs, semantics.grammar)
-                if env is None:
+            for rule, fill in semantics._candidate_rules(focus):
+                env: dict = {}
+                if not fill(focus, env):
                     continue
                 if rule.control:
                     # Control-rule results replace the whole program;

@@ -37,13 +37,6 @@ def add_synth_arguments(parser: argparse.ArgumentParser) -> None:
         "deterministic; the seed drives --fuzz)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for candidate checking and validation "
-        "lifts (default: 1 = in-process)",
-    )
-    parser.add_argument(
         "--program",
         action="append",
         default=None,
@@ -113,7 +106,6 @@ def run_synth(args) -> int:
         args.backend,
         sugar=args.sugar,
         programs=args.program,
-        jobs=args.jobs,
         max_list_len=args.max_list_len,
         validate=not args.no_validate,
     )

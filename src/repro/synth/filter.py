@@ -16,10 +16,6 @@ Candidates that pass become :class:`~repro.core.rules.Rule` objects;
 most-specific-first tie-break) and :func:`assemble_ruleset` installs
 them into a :class:`~repro.core.rules.RuleList`, dropping any candidate
 whose LHS breaks the list's disjointness invariant.
-
-Checking is embarrassingly parallel, so :func:`check_candidates` can
-batch over a warm :class:`repro.parallel.WarmPool` (the candidate rides
-to a warmed worker, the verdict rides back).
 """
 
 from __future__ import annotations
@@ -107,44 +103,13 @@ def check_candidate(
     return CheckedCandidate(candidate, "ok", rule=rule)
 
 
-def _pool_check(engine, payload) -> CheckedCandidate:
-    """Worker-side candidate check for :meth:`WarmPool.map_engine`: the
-    warmed engine supplies the reference ruleset when the caller asked
-    for disjointness-against-reference."""
-    candidate, against_reference = payload
-    against = engine.rules if against_reference else None
-    return check_candidate(candidate, against=against)
-
-
 def check_candidates(
     candidates: Sequence[Candidate],
     *,
     against: Optional[RuleList] = None,
-    pool=None,
 ) -> List[CheckedCandidate]:
-    """Check every candidate, optionally batched over a warm pool.
-
-    With ``pool`` the candidates ship to the pool's warmed workers
-    (``against`` then means the *pool engine's* ruleset when true-ish);
-    without it they run in-process.  Results keep submission order
-    either way."""
-    if pool is None:
-        return [check_candidate(c, against=against) for c in candidates]
-    payloads = [(c, against is not None) for c in candidates]
-    out: List[CheckedCandidate] = []
-    for result in pool.map_engine(_pool_check, payloads):
-        if result.ok:
-            out.append(result.value)
-        else:
-            index = result.index
-            out.append(
-                CheckedCandidate(
-                    candidates[index],
-                    "error",
-                    f"{result.error_type}: {result.error_message}",
-                )
-            )
-    return out
+    """Check every candidate, in submission order."""
+    return [check_candidate(c, against=against) for c in candidates]
 
 
 def _explains(rule: Rule, example: Example) -> bool:

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.confection import Confection
 from repro.core.rules import RuleList
 from repro.core.terms import term_size
 from repro.engine.registry import get_backend
 from repro.obs import metrics as _metrics
-from repro.parallel.pool import WarmPool
 from repro.synth.antiunify import (
     Candidate,
     anti_unify_all,
@@ -132,7 +130,6 @@ def synthesize(
     *,
     sugar: Optional[str] = None,
     programs: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     max_list_len: int = 5,
     validate: bool = True,
     backend_options: Optional[Dict] = None,
@@ -140,9 +137,7 @@ def synthesize(
     """Synthesize a ruleset for ``backend_name`` from examples alone.
 
     ``programs`` overrides the built-in seed bank (source strings in
-    the backend's surface syntax).  ``jobs`` batches candidate checking
-    and validation lifts over a :class:`WarmPool` of that many workers;
-    ``jobs=1`` runs everything in-process.
+    the backend's surface syntax).
     """
     backend = get_backend(resolve_backend_name(backend_name))
     options = dict(backend_options or {})
@@ -167,16 +162,7 @@ def synthesize(
     candidates = enumerate_candidates(buckets)
     _metrics.SYNTH_CANDIDATES.inc(len(candidates))
 
-    pool = None
-    if jobs > 1:
-        pool = WarmPool(
-            Confection(reference, backend.make_stepper()), jobs=jobs
-        )
-    try:
-        checked = check_candidates(candidates, pool=pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    checked = check_candidates(candidates)
 
     accepted = [c for c in checked if c.ok]
     rejections: Dict[str, int] = {}
@@ -197,7 +183,6 @@ def synthesize(
             (ruleset, backend.make_stepper()),
             parsed,
             backend.pretty,
-            jobs=jobs,
         )
 
     return SynthesisReport(

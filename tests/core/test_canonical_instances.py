@@ -1,10 +1,11 @@
-"""Canonical rule instances and β that skips unmentioned subterms.
+"""Canonical rule instances and β that skips where its variable is not free.
 
 ``RuleList.expand``/``unexpand`` build their instances canonical
 (:func:`repro.core.substitution.subst_canonical`) when the input is,
 and fall back to the generic :func:`~repro.core.substitution.subst`
-otherwise.  Both backends' ``substitute`` return a subterm that never
-mentions the variable untouched, by identity, and build the rebuilt
+otherwise.  Both backends' ``substitute`` return a subterm where the
+variable is not free (:func:`~repro.core.terms.free_names` under the
+backend's binder table) untouched, by identity, and build the rebuilt
 spine canonical when their inputs are.  Each is held here to the
 generic, full-walk reference.
 """
@@ -26,14 +27,15 @@ from repro.core.terms import (
     PList,
     PVar,
     Tagged,
-    mentions,
-    names_of,
+    free_names,
     subterms,
     untagged,
 )
 from repro.engine.registry import get_backend
+from repro.lambdacore.substitute import BINDERS as LAMBDA_BINDERS
 from repro.lambdacore.substitute import Assigned
 from repro.lambdacore.substitute import substitute as lambda_substitute
+from repro.pyretcore.semantics import BINDERS as PYRET_BINDERS
 from repro.pyretcore.semantics import substitute as pyret_substitute
 
 PROGRAMS = {
@@ -228,7 +230,7 @@ def _outcome(fn, *args):
         return ("Assigned", str(exc))
 
 
-def _check_beta(substitute, reference, term, name, value, canonical):
+def _check_beta(substitute, reference, binders, term, name, value, canonical):
     if canonical:
         term, value = intern(term), intern(value)
     expected = _outcome(reference, term, name, value)
@@ -236,7 +238,7 @@ def _check_beta(substitute, reference, term, name, value, canonical):
     assert got == expected
     if isinstance(got, tuple):
         return
-    if not mentions(term, name):
+    if name not in free_names(term, binders):
         assert got is term
     if canonical:
         assert is_interned(got)
@@ -248,7 +250,10 @@ def _check_beta(substitute, reference, term, name, value, canonical):
     canonical=st.booleans(),
 )
 def test_lambda_beta_skips_like_the_full_walk(term, name, value, canonical):
-    _check_beta(lambda_substitute, _reference_lambda, term, name, value, canonical)
+    _check_beta(
+        lambda_substitute, _reference_lambda, LAMBDA_BINDERS,
+        term, name, value, canonical,
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,13 +262,25 @@ def test_lambda_beta_skips_like_the_full_walk(term, name, value, canonical):
     canonical=st.booleans(),
 )
 def test_pyret_beta_skips_like_the_full_walk(term, name, value, canonical):
-    _check_beta(pyret_substitute, _reference_pyret, term, name, value, canonical)
+    _check_beta(
+        pyret_substitute, _reference_pyret, PYRET_BINDERS,
+        term, name, value, canonical,
+    )
 
 
 def test_names_are_cached_and_shared():
+    """Free names are cached per node and binder table; a parent shares
+    its child's set, and a binder removes its own name."""
     leaf = Node("Id", (Const("x"),))
     term = Node("App", (leaf, Node("Num", (Const(1),))))
-    assert names_of(term) == {"x"}
-    assert term._names is leaf._names  # the parent shares its child's set
-    assert names_of(Const(True)) == frozenset()
-    assert mentions(Const("x"), "x") and not mentions(Const(1), "1")
+    assert free_names(term, LAMBDA_BINDERS) == {"x"}
+    assert term._free[1] is leaf._free[1]  # the parent shares its child's set
+    assert free_names(Const(True), LAMBDA_BINDERS) == frozenset()
+    lam = Node("Lam", (Const("x"), Node("App", (leaf, Node("Id", (Const("y"),))))))
+    assert free_names(lam, LAMBDA_BINDERS) == {"y"}
+    # A shadowed binder prunes β: the whole lambda comes back as it is.
+    assert lambda_substitute(lam, "x", Const(1)) is lam
+    # The cache is per table: Pyret's Let binds in its body only.
+    let = Node("Let", (Const("x"), leaf, leaf))
+    assert free_names(let, PYRET_BINDERS) == {"x"}
+    assert free_names(Node("Let", (Const("x"), Const(1), leaf)), PYRET_BINDERS) == set()
