@@ -391,7 +391,7 @@ def test_runaway_sessions_do_not_degrade_neighbours():
 
 
 def test_warm_cache_default_caps_ttfs(tmp_path):
-    from repro.obs.metrics import CACHE_LIFT_HITS
+    from repro.obs.metrics import CACHE_LIFT_HITS, CACHE_LIFT_MEMO_HITS
 
     program = _doubling_chain(WARM_DOUBLINGS)
     bodies = [
@@ -431,8 +431,10 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
         )
         assert primed == "halted"
         hits_before = CACHE_LIFT_HITS.value
+        memo_hits_before = CACHE_LIFT_MEMO_HITS.value
         warm_results = fleet(warm)
         hits = CACHE_LIFT_HITS.value - hits_before
+        memo_hits = CACHE_LIFT_MEMO_HITS.value - memo_hits_before
         cold_results = fleet(cold)
     finally:
         warm.close()
@@ -445,7 +447,7 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
         [
             f"sessions          {TARGET_SESSIONS} over {RAMP_SECONDS:.1f}s "
             f"ramp, budgets {WARM_BUDGETS}",
-            f"whole-lift hits   {hits}",
+            f"whole-lift hits   {hits} ({memo_hits} from memory)",
             f"TTFS p50 / p99    {p50 * 1000:.2f} / {p99 * 1000:.2f} ms (warm)",
             f"TTFS p50 / p99    {cold_p50 * 1000:.2f} / "
             f"{cold_p99 * 1000:.2f} ms (cacheless, stepped)",
@@ -457,6 +459,7 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
         ramp_seconds=RAMP_SECONDS,
         core_steps=3 * 2**WARM_DOUBLINGS + WARM_DOUBLINGS + 1,
         lift_hits=hits,
+        memo_hits=memo_hits,
         p50_ttfs_seconds=round(p50, 6),
         p99_ttfs_seconds=round(p99, 6),
         cold_p50_ttfs_seconds=round(cold_p50, 6),
@@ -466,6 +469,8 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
     # Every session replayed the one recording and ended exactly as its
     # stepped twin did.
     assert hits == TARGET_SESSIONS
+    # The priming session stored the recording in the server's map.
+    assert memo_hits == TARGET_SESSIONS
     assert [kind for _, kind in warm_results] == [
         kind for _, kind in cold_results
     ]

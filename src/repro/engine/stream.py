@@ -46,6 +46,8 @@ lifting cannot disagree.
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
+from dataclasses import replace
 from time import monotonic
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -152,15 +154,18 @@ def _replay(recorded, mode: str, should_stop, budget) -> Iterator[LiftEvent]:
     The frames are exactly what the cold run yielded — terms re-interned
     at load, stats intact — so folds and renderers cannot tell the
     difference; a cut ends in a ``BudgetExhausted`` carrying the
-    recording's terminal stats.  Cancellation is still honored between
-    frames.  Per-step instrumentation does not re-fire (nothing was
-    resugared); with observability on, the run appears as a single
-    ``lift`` span marked ``cache="hit"``.
+    recording's terminal stats.  The recording may be shared with other
+    hits, so each replay hands out its own copy of those stats.
+    Cancellation is still honored between frames.  Per-step
+    instrumentation does not re-fire (nothing was resugared); with
+    observability on, the run appears as a single ``lift`` span marked
+    ``cache="hit"``.
     """
     if _obs.enabled:
         with _span("lift", mode=mode, cache="hit"):
             pass
-    stats = recorded[-1].cache_stats
+    last = recorded[-1]
+    stats = copy(last.cache_stats)
     for event in recorded:
         if should_stop is not None and should_stop():
             return
@@ -169,6 +174,8 @@ def _replay(recorded, mode: str, should_stop, budget) -> Iterator[LiftEvent]:
             if cut is not None:
                 yield cut
                 return
+        elif event is last:
+            event = replace(last, cache_stats=stats)
         yield event
 
 

@@ -56,6 +56,7 @@ name                          kind       meaning
 ``server.sessions_active``    gauge      sessions currently streaming
 ``server.sessions_peak``      gauge      high-water mark of active sessions
 ``server.frames_sent``        counter    protocol frames written to clients
+``server.writes``             counter    socket writes carrying those frames
 ``server.requests``           counter    HTTP/WebSocket requests handled
 ``server.ttfs_seconds``       histogram  per-session time to first step
 ``synth.examples_harvested``  counter    (surface, core) example pairs mined
@@ -65,7 +66,8 @@ name                          kind       meaning
 ``synth.rules_installed``     counter    rules admitted into a synthesized set
 ``synth.fuzz_trials``         counter    perturbed candidates pushed through
 ``synth.fuzz_crashes``        counter    engine crashes the fuzzer surfaced
-``cache.lift_hits``           counter    whole-lift results served from disk
+``cache.lift_hits``           counter    whole-lift results replayed (any tier)
+``cache.lift_memo_hits``      counter    of those, served from memory
 ``cache.lift_misses``         counter    whole-lift lookups that came up cold
 ``cache.stores``              counter    entries written to a persistent store
 ``cache.corrupt``             counter    damaged cache entries detected+evicted
@@ -146,6 +148,7 @@ __all__ = [
     "SERVER_SESSIONS_ACTIVE",
     "SERVER_SESSIONS_PEAK",
     "SERVER_FRAMES_SENT",
+    "SERVER_WRITES",
     "SERVER_REQUESTS",
     "SERVER_TTFS_SECONDS",
     "SYNTH_EXAMPLES_HARVESTED",
@@ -405,6 +408,7 @@ SERVER_SESSIONS_CANCELLED = REGISTRY.counter("server.sessions_cancelled")
 SERVER_SESSIONS_ACTIVE = REGISTRY.gauge("server.sessions_active")
 SERVER_SESSIONS_PEAK = REGISTRY.gauge("server.sessions_peak")
 SERVER_FRAMES_SENT = REGISTRY.counter("server.frames_sent")
+SERVER_WRITES = REGISTRY.counter("server.writes")
 SERVER_REQUESTS = REGISTRY.counter("server.requests")
 SYNTH_EXAMPLES_HARVESTED = REGISTRY.counter("synth.examples_harvested")
 SYNTH_CANDIDATES = REGISTRY.counter("synth.candidates")
@@ -418,6 +422,7 @@ SYNTH_FUZZ_CRASHES = REGISTRY.counter("synth.fuzz_crashes")
 # synth family: cache traffic is per-lift, and a corrupt-entry eviction
 # must be recorded whether or not observability was enabled.
 CACHE_LIFT_HITS = REGISTRY.counter("cache.lift_hits")
+CACHE_LIFT_MEMO_HITS = REGISTRY.counter("cache.lift_memo_hits")
 CACHE_LIFT_MISSES = REGISTRY.counter("cache.lift_misses")
 CACHE_STORES = REGISTRY.counter("cache.stores")
 CACHE_CORRUPT = REGISTRY.counter("cache.corrupt")

@@ -10,8 +10,17 @@ session across the two worlds that must not block each other:
 * **Executor threads** — iterate ``lift_events`` (or a
   :class:`~repro.parallel.WarmPool` batch) and render frames, pushing
   them through the session's bounded queue
-  (:mod:`repro.server.sessions`).  One thread per live session; a
-  thread blocked on backpressure costs nothing.
+  (:mod:`repro.server.sessions`) without a loop round trip per frame.
+  One thread per live session; a thread blocked on backpressure costs
+  nothing.
+
+The loop writes every frame the queue holds with one socket write: one
+HTTP chunk or one WebSocket message per frame, as ever, so batching
+never changes the bytes a client sees.  A session's first ``step``
+frame, and any frame that was slow to produce, is flushed on its own
+(the producer waits for the loop to take it), so time to first step
+does not wait on the steps behind it and a cold lift streams as before;
+the fast frames of a cache replay go out in batches.
 
 Isolation between sessions is the engine's own budget machinery:
 request budgets are clamped to :class:`~repro.server.protocol.
@@ -47,18 +56,20 @@ import json
 import socket as socket_module
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.confection import Confection
 from repro.core.errors import ReproError
 from repro.engine import events
 from repro.engine.registry import available_backends, get_backend
+from repro.lang.textmemo import memo_printer
 from repro.obs.metrics import (
     SERVER_FRAMES_SENT,
     SERVER_REQUESTS,
     SERVER_SESSIONS_CANCELLED,
     SERVER_SESSIONS_ERRORED,
     SERVER_TTFS_SECONDS,
+    SERVER_WRITES,
     render_prometheus,
 )
 from repro.parallel import LiftJob, WarmPool
@@ -84,7 +95,17 @@ from repro.server.sessions import (
 
 __all__ = ["ReproServer"]
 
-SendFrame = Callable[[bytes], Awaitable[None]]
+#: Writes a batch of encoded frames to the client with one socket write.
+SendFrames = Callable[[List[bytes]], Awaitable[None]]
+
+#: A frame that took longer than this to produce is flushed like a
+#: session's first step: the producer waits for the loop to take it.
+#: Such a producer (a cold lift) is the bottleneck, so the wait, about
+#: one loop round trip, costs little, while a producer that steps on
+#: would keep the interpreter lock from the loop for up to a switch
+#: interval.  Faster frames (a cache replay) are handed over without
+#: waiting and written in batches.
+_SLOW_FRAME_SECONDS = 1e-4
 
 
 class ReproServer:
@@ -396,10 +417,6 @@ class ReproServer:
             return
 
         chunked = ChunkedWriter(writer)
-
-        async def send(frame: bytes) -> None:
-            await chunked.send(frame)
-
         try:
             session = self.manager.open("lift")
         except SessionLimitError as exc:
@@ -412,7 +429,7 @@ class ReproServer:
         try:
             await chunked.start()
             await self._stream_session(
-                session, lift_request, confection, backend, send
+                session, lift_request, confection, backend, chunked.send
             )
             await chunked.finish()
         except (ConnectionError, OSError):
@@ -452,8 +469,8 @@ class ReproServer:
             await writer.drain()
             return
 
-        async def send(payload: bytes) -> None:
-            writer.write(ws.encode_text(payload))
+        async def send(payloads: List[bytes]) -> None:
+            writer.write(b"".join(map(ws.encode_text, payloads)))
             await writer.drain()
 
         try:
@@ -463,7 +480,7 @@ class ReproServer:
             confection, backend = self._make_engine(lift_request)
         except (ProtocolError, ReproError) as exc:
             await send(
-                encode_frame(error_frame(type(exc).__name__, str(exc)))
+                [encode_frame(error_frame(type(exc).__name__, str(exc)))]
             )
             writer.write(ws.encode_close(1008))
             await writer.drain()
@@ -473,7 +490,7 @@ class ReproServer:
             session = self.manager.open("lift")
         except SessionLimitError as exc:
             await send(
-                encode_frame(error_frame("SessionLimitError", str(exc)))
+                [encode_frame(error_frame("SessionLimitError", str(exc)))]
             )
             writer.write(ws.encode_close(1013))
             await writer.drain()
@@ -536,7 +553,7 @@ class ReproServer:
         lift_request: LiftRequest,
         confection: Confection,
         backend,
-        send: SendFrame,
+        send: SendFrames,
     ) -> None:
         """Produce on a thread, consume on the loop, record TTFS.
 
@@ -544,8 +561,11 @@ class ReproServer:
         the client vanishes (after cancelling the producer)."""
         loop = asyncio.get_running_loop()
         started = time.monotonic()
+        # One text memo per session: consecutive steps share most
+        # subterms, so each step prints only what it changed.
         builder = FrameBuilder(
-            backend.pretty, include_all=lift_request.events == "all"
+            memo_printer(backend.pretty),
+            include_all=lift_request.events == "all",
         )
 
         def produce() -> None:
@@ -554,10 +574,19 @@ class ReproServer:
                 stream = confection.lift_events(
                     program, lift_request.config, should_stop=session.cancelled
                 )
+                shown = False  # whether a step frame went out yet
+                ready = time.monotonic()
                 for event in stream:
                     for frame in builder.frames_for(event):
-                        if not session.put_from_thread(frame):
+                        step = frame["type"] == "step"
+                        # Flush the first step and every slow frame.
+                        wait = (step and not shown) or (
+                            time.monotonic() - ready > _SLOW_FRAME_SECONDS
+                        )
+                        shown = shown or step
+                        if not session.put_from_thread(frame, wait=wait):
                             return
+                        ready = time.monotonic()
             except Exception as exc:  # noqa: BLE001 — becomes a frame
                 SERVER_SESSIONS_ERRORED.inc()
                 session.put_from_thread(
@@ -567,17 +596,8 @@ class ReproServer:
                 session.finish_from_thread()
 
         producer = loop.run_in_executor(self._executor, produce)
-        first_step_seen = False
         try:
-            while True:
-                frame = await session.next_frame()
-                if frame is DONE:
-                    break
-                if not first_step_seen and frame.get("type") == "step":
-                    first_step_seen = True
-                    SERVER_TTFS_SECONDS.observe(time.monotonic() - started)
-                await send(encode_frame(frame))
-                SERVER_FRAMES_SENT.inc()
+            await self._pump(session, send, started)
         finally:
             # Either the stream finished or the client vanished; in both
             # cases stop the producer and wait for it to land (bounded:
@@ -585,6 +605,30 @@ class ReproServer:
             # of backpressure).
             session.cancel()
             await producer
+
+    @staticmethod
+    async def _pump(
+        session, send: SendFrames, started: Optional[float] = None
+    ) -> None:
+        """Write the session's frames until :data:`DONE`: every frame
+        ready at once goes out in one ``send``.  With ``started``, the
+        first ``step`` frame's delay from it is observed as TTFS."""
+        while True:
+            frames = await session.next_frames()
+            done = frames[-1] is DONE
+            if done:
+                frames.pop()
+            if frames:
+                if started is not None and any(
+                    frame.get("type") == "step" for frame in frames
+                ):
+                    SERVER_TTFS_SECONDS.observe(time.monotonic() - started)
+                    started = None
+                await send([encode_frame(frame) for frame in frames])
+                SERVER_FRAMES_SENT.inc(len(frames))
+                SERVER_WRITES.inc()
+            if done:
+                return
 
     # --- /lift-batch --------------------------------------------------
 
@@ -654,12 +698,7 @@ class ReproServer:
         producer = loop.run_in_executor(self._executor, produce)
         try:
             await chunked.start()
-            while True:
-                frame = await session.next_frame()
-                if frame is DONE:
-                    break
-                await chunked.send(encode_frame(frame))
-                SERVER_FRAMES_SENT.inc()
+            await self._pump(session, chunked.send)
             await chunked.finish()
         except (ConnectionError, OSError):
             SERVER_SESSIONS_CANCELLED.inc()

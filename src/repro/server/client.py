@@ -4,7 +4,8 @@ These talk raw sockets so the tests exercise the real wire format —
 chunked NDJSON and RFC 6455 frames — rather than a shortcut through the
 server's internals.  :func:`lift_session` and :func:`lift_session_ws`
 both return the decoded frame list for one session; byte-level access
-(for the golden-equivalence guard) is :func:`lift_session_raw`.
+(for the golden-equivalence guard) is :func:`lift_session_raw` and
+:func:`lift_session_ws_raw`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "lift_session",
     "lift_session_raw",
     "lift_session_ws",
+    "lift_session_ws_raw",
     "batch_session",
 ]
 
@@ -152,8 +154,19 @@ def _read_ws_frame(sock: socket.socket) -> Tuple[int, bytes]:
 def lift_session_ws(
     host: str, port: int, lift_request: Dict[str, Any], timeout: float = 30.0
 ) -> List[Dict[str, Any]]:
+    """One ``/lift`` session over WebSocket, as decoded frames (one per
+    message)."""
+    return [
+        json.loads(payload.decode("utf-8"))
+        for payload in lift_session_ws_raw(host, port, lift_request, timeout)
+    ]
+
+
+def lift_session_ws_raw(
+    host: str, port: int, lift_request: Dict[str, Any], timeout: float = 30.0
+) -> List[bytes]:
     """One ``/lift`` session over WebSocket: handshake, send the request
-    as the first text frame, collect one decoded frame per message until
+    as the first text frame, collect every text message's payload until
     the server's close frame."""
     with socket.create_connection((host, port), timeout=timeout) as sock:
         key = "cmVwcm8td3Mta2V5LTEyMzQ="  # any base64 nonce
@@ -180,13 +193,13 @@ def lift_session_ws(
         sock.sendall(
             encode_text(json.dumps(lift_request).encode("utf-8"), mask=True)
         )
-        frames: List[Dict[str, Any]] = []
+        messages: List[bytes] = []
         while True:
             opcode, payload = _read_ws_frame(sock)
             if opcode == OP_CLOSE:
                 sock.sendall(encode_close(mask=True))
-                return frames
+                return messages
             if opcode == OP_PING:
                 continue
             if opcode == OP_TEXT:
-                frames.append(json.loads(payload.decode("utf-8")))
+                messages.append(payload)

@@ -3,10 +3,14 @@
 The server speaks just enough HTTP for its own protocol — request line,
 headers, ``Content-Length`` bodies, fixed and ``chunked`` responses —
 on the standard library alone (the no-new-dependencies constraint rules
-out aiohttp et al.).  Streaming responses use chunked transfer encoding
-with one flush per frame, so a surface step reaches the client the
-moment the engine produces it; that per-frame flush is what the
-time-to-first-step numbers in ``BENCH_serve.json`` measure.
+out aiohttp et al.).  Streaming responses use chunked transfer encoding,
+one chunk per frame, with one socket write and one flush per batch of
+ready frames: whatever the session queue holds when the writer comes
+round goes out together, so a replayed lift costs a write or two rather
+than one per frame, while a frame produced on its own (a session's first
+step, or a step of a cold lift) reaches the client the moment the engine
+produces it.  Batching changes neither the chunk framing nor the
+response bytes.
 
 Connections are single-request (``Connection: close``): session
 streams are long-lived anyway, and one-shot connections keep the
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import urlsplit
 
 __all__ = [
@@ -144,9 +148,9 @@ async def write_response(
 
 
 class ChunkedWriter:
-    """A chunked streaming response: one chunk (and one ``drain``) per
-    frame, so backpressure from the socket propagates straight into the
-    session queue."""
+    """A chunked streaming response: one chunk per frame, one write and
+    one ``drain`` per batch of frames, so backpressure from the socket
+    propagates straight into the session queue."""
 
     def __init__(
         self,
@@ -172,11 +176,12 @@ class ChunkedWriter:
         await self._writer.drain()
         self._started = True
 
-    async def send(self, payload: bytes) -> None:
-        """One chunk, flushed.  Raises ``ConnectionError`` when the
-        client is gone — the handler's cue to cancel the session."""
+    async def send(self, payloads: Iterable[bytes]) -> None:
+        """One chunk per payload, written and flushed together.  Raises
+        ``ConnectionError`` when the client is gone — the handler's cue
+        to cancel the session."""
         self._writer.write(
-            f"{len(payload):x}\r\n".encode("latin-1") + payload + b"\r\n"
+            b"".join(b"%x\r\n%b\r\n" % (len(p), p) for p in payloads)
         )
         await self._writer.drain()
 

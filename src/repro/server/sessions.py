@@ -3,10 +3,22 @@
 One :class:`Session` per in-flight request.  The CPU-bound side — a
 ``lift_stream`` generator iterated on an executor thread — pushes frames
 into the session's bounded :class:`asyncio.Queue` via
-:meth:`Session.put_from_thread`; the asyncio side pops them and writes
-to the socket.  The bounded queue is the backpressure boundary: a slow
-client fills it, which blocks the *producer thread* (not the event
-loop), which stops the stepper from racing ahead of the network.
+:meth:`Session.put_from_thread`; the asyncio side pops every ready frame
+at once (:meth:`Session.next_frames`) and writes them to the socket.
+The bounded queue is the backpressure boundary: a slow client fills it,
+which blocks the *producer thread* (not the event loop), which stops the
+stepper from racing ahead of the network.
+
+The handoff costs the producer no round trip per frame.  A thread-side
+semaphore counts the queue's free room: while there is room the producer
+reserves a slot and schedules the loop-side enqueue without waiting for
+it.  It waits for the loop in two cases only: when the queue is full
+(the backpressure wait), and on a frame the caller asks to flush
+(``wait=True``: the server's first ``step`` frame, and any frame that was
+slow to produce), until the consumer has taken that frame off the queue
+to write it.  Without that wait a producer stepping on would keep the
+interpreter lock from the loop for up to a switch interval before the
+frame reached the socket.
 
 Cancellation is cooperative and flows in the other direction.  A
 generator being iterated by one thread cannot be ``close()``d from
@@ -18,10 +30,10 @@ disconnect, shutdown, or timeout — therefore stops the producer within
 one step or one poll interval, whichever side it is currently in.
 
 Cancellation must also wake the *consumer*: once the flag is set,
-``put_from_thread`` drops every frame including the :data:`DONE`
-sentinel, so a handler parked in :meth:`Session.next_frame` would
-otherwise wait forever (the shutdown deadlock: ``cancel_all`` during an
-active session).  :meth:`Session.cancel` therefore schedules a
+``put_from_thread`` (and the loop-side enqueue it scheduled) drops every
+frame including the :data:`DONE` sentinel, so a handler parked in
+:meth:`Session.next_frames` would otherwise wait forever (the shutdown
+deadlock: ``cancel_all`` during an active session).  :meth:`Session.cancel` therefore schedules a
 loop-side wake-up that guarantees a ``DONE`` lands in the queue,
 evicting one undeliverable frame if the queue is full.
 
@@ -38,7 +50,7 @@ import asyncio
 import concurrent.futures
 import itertools
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import (
     SERVER_SESSIONS_ACTIVE,
@@ -53,10 +65,10 @@ __all__ = ["Session", "SessionManager", "SessionLimitError", "DONE"]
 #: on identity (frames are dicts, never this object).
 DONE = object()
 
-#: How long ``put_from_thread`` blocks on a full queue before re-checking
-#: the cancel event.  The worst-case latency between a client vanishing
-#: and its producer thread noticing, when the producer is parked on
-#: backpressure.
+#: How long ``put_from_thread`` blocks on a full queue (or on a flushed
+#: frame) before re-checking the cancel event.  The worst-case latency
+#: between a client vanishing and its producer thread noticing, when the
+#: producer is parked on backpressure.
 _PUT_POLL_SECONDS = 0.1
 
 
@@ -68,7 +80,8 @@ class Session:
     """One live lift session: a bounded frame queue plus a cancel flag.
 
     Created by :class:`SessionManager.open`; the asyncio side consumes
-    :attr:`queue`, the producer thread calls :meth:`put_from_thread`.
+    :attr:`queue` through :meth:`next_frames`, the producer thread calls
+    :meth:`put_from_thread`.
     """
 
     def __init__(
@@ -82,6 +95,11 @@ class Session:
         self.kind = kind
         self._loop = loop
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=maxsize)
+        # Free queue slots as the producer sees them: taken when a frame
+        # is handed over, given back when the consumer pops it.
+        self._room = threading.Semaphore(maxsize)
+        # The future a producer waits on for its flushed frame (loop-side).
+        self._flushed: Optional[concurrent.futures.Future] = None
         self._cancel = threading.Event()
 
     # --- producer side (executor thread) -----------------------------
@@ -91,32 +109,46 @@ class Session:
         step)."""
         return self._cancel.is_set()
 
-    def put_from_thread(self, item: Any) -> bool:
-        """Enqueue one frame from the producer thread, blocking under
-        backpressure.  Returns ``False`` (dropping the frame) once the
+    def put_from_thread(self, item: Any, wait: bool = False) -> bool:
+        """Enqueue one frame from the producer thread, blocking only
+        while the queue is full — or, with ``wait``, until the consumer
+        has taken it.  Returns ``False`` (dropping the frame) once the
         session is cancelled — the signal for the producer to stop."""
         if self._cancel.is_set():
             return False
-        future = asyncio.run_coroutine_threadsafe(
-            self.queue.put(item), self._loop
-        )
-        while True:
-            try:
-                future.result(timeout=_PUT_POLL_SECONDS)
-                return True
-            except concurrent.futures.TimeoutError:
-                if self._cancel.is_set():
-                    future.cancel()
-                    return False
-            except concurrent.futures.CancelledError:
+        while not self._room.acquire(timeout=_PUT_POLL_SECONDS):
+            if self._cancel.is_set():
                 return False
-            except RuntimeError:
-                # The loop shut down underneath us mid-put.
-                return False
+        taken = concurrent.futures.Future() if wait else None
+        try:
+            self._loop.call_soon_threadsafe(self._enqueue, item, taken)
+        except RuntimeError:
+            return False  # the loop already shut down
+        if taken is not None:
+            while True:
+                try:
+                    taken.result(timeout=_PUT_POLL_SECONDS)
+                    break
+                except concurrent.futures.TimeoutError:
+                    if self._cancel.is_set():
+                        return False
+        return not self._cancel.is_set()
 
     def finish_from_thread(self) -> None:
         """Mark the end of the stream (enqueues :data:`DONE`)."""
         self.put_from_thread(DONE)
+
+    def _enqueue(self, item: Any, taken) -> None:
+        """Loop-side half of :meth:`put_from_thread`.  The producer
+        reserved the slot, so the put cannot overflow; after a cancel
+        the frame is dropped instead (the cancel's :data:`DONE` may hold
+        that slot, and nothing queued behind it is read; a waiting
+        producer sees the cancel at its next poll)."""
+        if self._cancel.is_set():
+            return
+        self.queue.put_nowait(item)
+        if taken is not None:
+            self._flushed = taken
 
     # --- consumer side (event loop) ----------------------------------
 
@@ -151,7 +183,27 @@ class Session:
 
     async def next_frame(self) -> Any:
         """The next frame, or :data:`DONE`."""
-        return await self.queue.get()
+        item = await self.queue.get()
+        self._took(1)
+        return item
+
+    async def next_frames(self) -> List[Any]:
+        """Every frame ready now (waiting for at least one), in order;
+        the list ends at :data:`DONE` when the stream is over."""
+        items = [await self.queue.get()]
+        while items[-1] is not DONE and not self.queue.empty():
+            items.append(self.queue.get_nowait())
+        self._took(len(items))
+        return items
+
+    def _took(self, count: int) -> None:
+        """Give ``count`` slots back to the producer.  A producer waiting
+        on a flushed frame enqueued nothing after it, so once the queue
+        is empty that frame has been taken: release the producer."""
+        self._room.release(count)
+        if self._flushed is not None and self.queue.empty():
+            self._flushed.set_result(None)
+            self._flushed = None
 
 
 class SessionManager:

@@ -6,9 +6,15 @@ express, the ``step`` texts streamed over the wire — reassembled into
 lines — must be *byte-identical* to what ``python -m repro lift``
 prints for the same program, options, and stepper mode.  Both backends,
 both stepper modes, one live server for the whole module.
+
+A second, cache-backed server pins the framing: on a cache miss and on
+the memory hit that repeats it, the raw HTTP response is one chunk per
+NDJSON frame (whatever the server batched into one socket write), and
+the WebSocket session sends one message per frame.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -18,7 +24,7 @@ from repro.redex.reduction import STEPPER_MODES
 from tests.server.conftest import ServerHarness
 from tests.test_golden_traces import GOLDEN_FILES, parse_golden
 from repro.server import ServerLimits
-from repro.server.client import lift_session_raw
+from repro.server.client import lift_session_raw, lift_session_ws_raw
 
 # Golden ``# sugar:`` configs the CLI (and hence the server protocol)
 # can express; pyret-datatype needs the with_datatype factory option,
@@ -48,6 +54,17 @@ def harness():
     server = ServerHarness(
         max_sessions=4,
         limits=ServerLimits(max_steps_cap=100_000, max_seconds_cap=None),
+    )
+    yield server
+    server.close()
+
+
+@pytest.fixture(scope="module")
+def cached(tmp_path_factory):
+    server = ServerHarness(
+        max_sessions=4,
+        limits=ServerLimits(max_steps_cap=100_000, max_seconds_cap=None),
+        cache_dir=tmp_path_factory.mktemp("wire-cache"),
     )
     yield server
     server.close()
@@ -118,3 +135,56 @@ def test_wire_bytes_match_cli_bytes(path, mode, harness, capsys):
         if frame["type"] == "step"
     )
     assert wire_bytes == cli_bytes
+
+
+def _raw_lift(host, port, request):
+    """The raw bytes of one ``/lift`` response: head, chunks, trailer."""
+    body = json.dumps(request).encode("utf-8")
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(
+            (
+                f"POST /lift HTTP/1.1\r\nHost: {host}:{port}\r\n"
+                f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+            ).encode("latin-1")
+            + body
+        )
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(chunks)
+            chunks.append(data)
+
+
+def _one_chunk_per_frame(lines):
+    return b"".join(b"%x\r\n%b\r\n" % (len(line), line) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "path,mode",
+    CASES,
+    ids=[f"{p.stem}-{m}" for p, m in CASES],
+)
+def test_framing_on_miss_and_memory_hit(path, mode, cached):
+    sugar, program, _trace, _stats, options = parse_golden(path)
+    request = _server_request(CLI_CONFIGS[sugar], options, mode, program)
+    cache = cached.server._lift_cache
+    miss = _raw_lift(cached.host, cached.port, request)
+    head, _, chunked = miss.partition(b"\r\n\r\n")
+    assert b"Transfer-Encoding: chunked" in head
+    lines = lift_session_raw(
+        cached.host, cached.port, request
+    ).splitlines(keepends=True)
+    assert chunked == _one_chunk_per_frame(lines) + b"0\r\n\r\n"
+    if json.loads(lines[-1])["type"] != "halted":
+        # Only complete lifts are recorded: prime one, then the budgeted
+        # request is a cut replay of it.
+        lift_session_raw(
+            cached.host, cached.port,
+            {k: v for k, v in request.items() if k != "max_steps"},
+        )
+
+    memo_hits = cache.memo_hits
+    assert _raw_lift(cached.host, cached.port, request) == miss
+    assert lift_session_ws_raw(cached.host, cached.port, request) == lines
+    assert cache.memo_hits == memo_hits + 2
