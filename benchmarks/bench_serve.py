@@ -391,7 +391,11 @@ def test_runaway_sessions_do_not_degrade_neighbours():
 
 
 def test_warm_cache_default_caps_ttfs(tmp_path):
-    from repro.obs.metrics import CACHE_LIFT_HITS, CACHE_LIFT_MEMO_HITS
+    from repro.obs.metrics import (
+        CACHE_LIFT_HITS,
+        CACHE_LIFT_MEMO_HITS,
+        SERVER_REPLAYS,
+    )
 
     program = _doubling_chain(WARM_DOUBLINGS)
     bodies = [
@@ -432,9 +436,11 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
         assert primed == "halted"
         hits_before = CACHE_LIFT_HITS.value
         memo_hits_before = CACHE_LIFT_MEMO_HITS.value
+        replays_before = SERVER_REPLAYS.value
         warm_results = fleet(warm)
         hits = CACHE_LIFT_HITS.value - hits_before
         memo_hits = CACHE_LIFT_MEMO_HITS.value - memo_hits_before
+        replays = SERVER_REPLAYS.value - replays_before
         cold_results = fleet(cold)
     finally:
         warm.close()
@@ -447,7 +453,8 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
         [
             f"sessions          {TARGET_SESSIONS} over {RAMP_SECONDS:.1f}s "
             f"ramp, budgets {WARM_BUDGETS}",
-            f"whole-lift hits   {hits} ({memo_hits} from memory)",
+            f"whole-lift hits   {hits} ({memo_hits} from memory, "
+            f"{replays} answered on the loop)",
             f"TTFS p50 / p99    {p50 * 1000:.2f} / {p99 * 1000:.2f} ms (warm)",
             f"TTFS p50 / p99    {cold_p50 * 1000:.2f} / "
             f"{cold_p99 * 1000:.2f} ms (cacheless, stepped)",
@@ -460,6 +467,7 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
         core_steps=3 * 2**WARM_DOUBLINGS + WARM_DOUBLINGS + 1,
         lift_hits=hits,
         memo_hits=memo_hits,
+        replays=replays,
         p50_ttfs_seconds=round(p50, 6),
         p99_ttfs_seconds=round(p99, 6),
         cold_p50_ttfs_seconds=round(cold_p50, 6),
@@ -471,6 +479,10 @@ def test_warm_cache_default_caps_ttfs(tmp_path):
     assert hits == TARGET_SESSIONS
     # The priming session stored the recording in the server's map.
     assert memo_hits == TARGET_SESSIONS
+    # The budget-free sessions repeat the primed one whole: the loop
+    # answers them from its frames.  The budgets below the recording's
+    # length are cut on the executor.
+    assert replays == sum(1 for body in bodies if b"max_steps" not in body)
     assert [kind for _, kind in warm_results] == [
         kind for _, kind in cold_results
     ]

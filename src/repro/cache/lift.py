@@ -34,7 +34,7 @@ from collections import OrderedDict
 from copy import copy
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.cache.keys import lift_key as _lift_key
 from repro.cache.keys import ruleset_fingerprint
@@ -52,6 +52,7 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
+    "BoundedLRU",
     "LiftCache",
     "MAX_LIFT_EVENTS",
     "MAX_LIFT_ENTRIES_PER_SHARD",
@@ -79,6 +80,45 @@ MAX_LIFT_ENTRIES_PER_SHARD = 64
 MEMO_TIER = "memo"
 
 
+class BoundedLRU(OrderedDict):
+    """A map bounded by the total ``weight`` of its values, least
+    recently used first out.  A value heavier than the bound alone is
+    not kept.  Not locked: the owner serializes access."""
+
+    def __init__(self, bound: int, weight: Callable[[object], int]) -> None:
+        super().__init__()
+        self.bound = bound
+        self.weight = weight
+        self.total = 0
+
+    def recall(self, key):
+        """The value for ``key`` (now the most recently used), or
+        ``None``."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def remember(self, key, value) -> None:
+        """Put ``value`` under ``key``, evicting the least recently used
+        values past the bound."""
+        old = self.pop(key, None)
+        if old is not None:
+            self.total -= self.weight(old)
+        size = self.weight(value)
+        if size > self.bound:
+            return
+        self[key] = value
+        self.total += size
+        while self.total > self.bound:
+            _key, evicted = self.popitem(last=False)
+            self.total -= self.weight(evicted)
+
+    def clear(self) -> None:
+        super().clear()
+        self.total = 0
+
+
 class LiftCache:
     """Persistent lift cache over one directory (see module docstring).
 
@@ -96,8 +136,7 @@ class LiftCache:
         self.lift_hits = 0  # memory and disk hits alike
         self.lift_misses = 0
         self.memo_hits = 0
-        self._memo: "OrderedDict[str, Tuple[LiftEvent, ...]]" = OrderedDict()
-        self._memo_events = 0
+        self._memo = BoundedLRU(MAX_MEMO_EVENTS, len)
         self._memo_generation = intern_generation()
         self._lock = threading.Lock()
 
@@ -133,16 +172,9 @@ class LiftCache:
         may be shared with later hits: callers must not mutate what its
         events hold.
         """
-        with self._lock:
-            self._check_generation()
-            value = self._memo.get(key)
-            if value is not None:
-                self._memo.move_to_end(key)
-                self.lift_hits += 1
-                self.memo_hits += 1
-                CACHE_LIFT_HITS.inc()
-                CACHE_LIFT_MEMO_HITS.inc()
-                return value
+        value = self.recall(key)
+        if value is not None:
+            return value
         value = self.store.get(LIFT_TIER, key)
         if value is not None and not (
             isinstance(value, tuple)
@@ -161,8 +193,22 @@ class LiftCache:
                 return None
             self.lift_hits += 1
             CACHE_LIFT_HITS.inc()
-            self._remember(key, value)
+            self._memo.remember(key, value)
         return value
+
+    def recall(self, key: str) -> Optional[Tuple[LiftEvent, ...]]:
+        """The recording for ``key`` if the in-memory map holds it,
+        counted as a memory hit; otherwise ``None``, counting nothing.
+        Never reads disk: the memory half of :meth:`lookup_lift`."""
+        with self._lock:
+            self._check_generation()
+            value = self._memo.recall(key)
+            if value is not None:
+                self.lift_hits += 1
+                self.memo_hits += 1
+                CACHE_LIFT_HITS.inc()
+                CACHE_LIFT_MEMO_HITS.inc()
+            return value
 
     def store_lift(self, key: str, events: Tuple[LiftEvent, ...]) -> bool:
         """Record a *complete* event stream.  Anything not ending in
@@ -183,25 +229,11 @@ class LiftCache:
         )
         with self._lock:
             self._check_generation()
-            self._remember(key, events)
+            self._memo.remember(key, events)
         if not self.store.put(LIFT_TIER, key, events):
             return False
         self.store.trim_shard(LIFT_TIER, key, MAX_LIFT_ENTRIES_PER_SHARD)
         return True
-
-    def _remember(self, key: str, events: Tuple[LiftEvent, ...]) -> None:
-        """Put ``events`` in the map (lock held), evicting the least
-        recently used recordings past :data:`MAX_MEMO_EVENTS`."""
-        old = self._memo.pop(key, None)
-        if old is not None:
-            self._memo_events -= len(old)
-        if len(events) > MAX_MEMO_EVENTS:
-            return
-        self._memo[key] = events
-        self._memo_events += len(events)
-        while self._memo_events > MAX_MEMO_EVENTS:
-            _key, evicted = self._memo.popitem(last=False)
-            self._memo_events -= len(evicted)
 
     def _check_generation(self) -> None:
         """Drop the map after ``clear_intern_caches()`` (lock held): its
@@ -210,7 +242,6 @@ class LiftCache:
         generation = intern_generation()
         if generation != self._memo_generation:
             self._memo.clear()
-            self._memo_events = 0
             self._memo_generation = generation
 
     # --- removed memo tier -------------------------------------------
@@ -239,6 +270,6 @@ class LiftCache:
             out["memo_hits"] = self.memo_hits
             out["disk_hits"] = self.lift_hits - self.memo_hits
             out["memo_recordings"] = len(self._memo)
-            out["memo_events"] = self._memo_events
+            out["memo_events"] = self._memo.total
         out["root"] = str(self.root)
         return out

@@ -158,17 +158,20 @@ class Confection:
         config: LiftConfig,
         *,
         should_stop: Optional[Callable[[], bool]] = None,
+        on_key: Optional[Callable[[str], None]] = None,
     ) -> Iterator["LiftEvent"]:
         """Lift lazily under ``config``, whichever its mode.
         ``should_stop`` is the cooperative cancellation hook of
         :func:`repro.engine.stream.lift_events`: polled once per core
-        step, a true return ends the stream without a terminal event."""
+        step, a true return ends the stream without a terminal event.
+        ``on_key`` receives the cache key the lift derived (see
+        :func:`~repro.engine.stream.lift_events`)."""
         from repro.engine.stream import lift_events
 
         self._require_stepper()
         stream = lift_events(
             self.rules, self.stepper, self.term(surface_term), config,
-            should_stop=should_stop, cache=self.cache,
+            should_stop=should_stop, cache=self.cache, on_key=on_key,
         )
         return self._scoped_stream(stream)
 

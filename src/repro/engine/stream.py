@@ -96,6 +96,8 @@ __all__ = [
     "lift_tree_stream",
     "fold_lift",
     "fold_tree",
+    "replays_whole",
+    "mark_cache_hit",
 ]
 
 # Classification outcome -> the counter it moves (observability only).
@@ -120,16 +122,23 @@ class _Budget:
             None if self.max_seconds is None else monotonic() + self.max_seconds
         )
 
+    def _exhausted(self, index):
+        """``None`` while core index ``index`` may still run; otherwise
+        the ``(kind, limit)`` of the budget that stops it."""
+        if index >= self.stop_at:
+            return self.kind, self.limit
+        if self.deadline is not None and monotonic() >= self.deadline:
+            return "seconds", self.max_seconds
+        return None
+
     def check(self, index, stats, span=None):
         """``None`` while core index ``index`` may still run; otherwise
         raise (``"raise"``) or return the terminal ``BudgetExhausted``
         (``"truncate"``) after marking ``span``."""
-        if index >= self.stop_at:
-            kind, limit = self.kind, self.limit
-        elif self.deadline is not None and monotonic() >= self.deadline:
-            kind, limit = "seconds", self.max_seconds
-        else:
+        cut = self._exhausted(index)
+        if cut is None:
             return None
+        kind, limit = cut
         if self.on_budget == "raise":
             subject = "evaluation" if self.kind == "steps" else "evaluation tree"
             if kind == "seconds":
@@ -147,6 +156,22 @@ class _Budget:
         return BudgetExhausted(index, stats, kind, limit)
 
 
+def replays_whole(config: LiftConfig, last_core_index: int) -> bool:
+    """Whether a cache replay under ``config``, starting now, yields the
+    whole recording whose last core step is ``last_core_index``: the
+    budget gate of :func:`_replay` would cut at no core step."""
+    return _Budget(config)._exhausted(last_core_index) is None
+
+
+def mark_cache_hit(mode: str) -> None:
+    """With observability on, the single ``lift`` span of a lift that a
+    cache hit answered (``cache="hit"``): nothing was resugared, so no
+    per-step instrumentation fires."""
+    if _obs.enabled:
+        with _span("lift", mode=mode, cache="hit"):
+            pass
+
+
 def _replay(recorded, mode: str, should_stop, budget) -> Iterator[LiftEvent]:
     """Yield a recorded complete event stream (a whole-lift cache hit),
     cut by ``budget`` exactly where a cold run would stop.
@@ -157,13 +182,9 @@ def _replay(recorded, mode: str, should_stop, budget) -> Iterator[LiftEvent]:
     recording's terminal stats.  The recording may be shared with other
     hits, so each replay hands out its own copy of those stats.
     Cancellation is still honored between frames.  Per-step
-    instrumentation does not re-fire (nothing was resugared); with
-    observability on, the run appears as a single ``lift`` span marked
-    ``cache="hit"``.
+    instrumentation does not re-fire (see :func:`mark_cache_hit`).
     """
-    if _obs.enabled:
-        with _span("lift", mode=mode, cache="hit"):
-            pass
+    mark_cache_hit(mode)
     last = recorded[-1]
     stats = copy(last.cache_stats)
     for event in recorded:
@@ -246,16 +267,19 @@ def lift_events(
     *,
     should_stop: Optional[Callable[[], bool]] = None,
     cache=None,
+    on_key: Optional[Callable[[str], None]] = None,
 ) -> Iterator[LiftEvent]:
     """Lazily lift ``surface_term`` under ``config`` (sequence or tree).
 
     ``should_stop`` is the cooperative cancellation hook and ``cache``
     a persistent :class:`repro.cache.LiftCache` (see the module
-    docstring).  With observability on (:mod:`repro.obs`), the run is
-    wrapped in a ``lift`` span, every core step gets a ``lift.step``
-    child span carrying its index and outcome, and the ``lift.steps_*``
-    counters move per event; disabled, the loop pays one branch per
-    step.
+    docstring).  ``on_key`` is called with the cache key once it is
+    derived, before the first event, so a caller learns the key without
+    deriving it again; an unkeyed lift never calls it.  With
+    observability on (:mod:`repro.obs`), the run is wrapped in a
+    ``lift`` span, every core step gets a ``lift.step`` child span
+    carrying its index and outcome, and the ``lift.steps_*`` counters
+    move per event; disabled, the loop pays one branch per step.
     """
     stepper = config.apply_stepper_mode(stepper)
     cache_key = None
@@ -264,6 +288,8 @@ def lift_events(
         # a stepper configured with that same mode share entries.
         cache_key = cache.lift_key(rules, stepper, surface_term, config)
         if cache_key is not None:
+            if on_key is not None:
+                on_key(cache_key)
             recorded = cache.lookup_lift(cache_key)
             if recorded is not None:
                 budget = _Budget(config)

@@ -57,6 +57,7 @@ name                          kind       meaning
 ``server.sessions_peak``      gauge      high-water mark of active sessions
 ``server.frames_sent``        counter    protocol frames written to clients
 ``server.writes``             counter    socket writes carrying those frames
+``server.replays``            counter    sessions the loop answered from frames
 ``server.requests``           counter    HTTP/WebSocket requests handled
 ``server.ttfs_seconds``       histogram  per-session time to first step
 ``synth.examples_harvested``  counter    (surface, core) example pairs mined
@@ -149,6 +150,7 @@ __all__ = [
     "SERVER_SESSIONS_PEAK",
     "SERVER_FRAMES_SENT",
     "SERVER_WRITES",
+    "SERVER_REPLAYS",
     "SERVER_REQUESTS",
     "SERVER_TTFS_SECONDS",
     "SYNTH_EXAMPLES_HARVESTED",
@@ -409,6 +411,7 @@ SERVER_SESSIONS_ACTIVE = REGISTRY.gauge("server.sessions_active")
 SERVER_SESSIONS_PEAK = REGISTRY.gauge("server.sessions_peak")
 SERVER_FRAMES_SENT = REGISTRY.counter("server.frames_sent")
 SERVER_WRITES = REGISTRY.counter("server.writes")
+SERVER_REPLAYS = REGISTRY.counter("server.replays")
 SERVER_REQUESTS = REGISTRY.counter("server.requests")
 SYNTH_EXAMPLES_HARVESTED = REGISTRY.counter("synth.examples_harvested")
 SYNTH_CANDIDATES = REGISTRY.counter("synth.candidates")

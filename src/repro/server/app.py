@@ -22,6 +22,20 @@ frame, and any frame that was slow to produce, is flushed on its own
 does not wait on the steps behind it and a cold lift streams as before;
 the fast frames of a cache replay go out in batches.
 
+A ``--cache`` server also keeps the encoded frames of every ``/lift``
+session that ran to ``halted``, by the request's wire identity (engine,
+program text, event mode, stepper and the config's key fields: all but
+its budgets), in a map bounded by :data:`MAX_REPLAY_BYTES`.  A repeat
+of such a session is answered by the loop itself, with one write, when
+its budget lets the whole recording run and the cache still holds that
+recording in memory (:meth:`~repro.cache.LiftCache.recall`, which
+counts the hit).  It parses no program, derives no key, builds no
+stepper and takes no executor thread.  Every other request — a budget
+that cuts, a recording evicted or dropped, a new program — runs on the
+executor exactly as above, and a halted one refills the map.  The loop
+still never steps a program and never renders a term: it only writes
+bytes an executor session rendered before.
+
 Isolation between sessions is the engine's own budget machinery:
 request budgets are clamped to :class:`~repro.server.protocol.
 ServerLimits` caps, so a runaway program ends in a ``budget`` or
@@ -56,15 +70,18 @@ import json
 import socket as socket_module
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.cache.lift import BoundedLRU
 from repro.confection import Confection
 from repro.core.errors import ReproError
 from repro.engine import events
 from repro.engine.registry import available_backends, get_backend
+from repro.engine.stream import mark_cache_hit, replays_whole
 from repro.lang.textmemo import memo_printer
 from repro.obs.metrics import (
     SERVER_FRAMES_SENT,
+    SERVER_REPLAYS,
     SERVER_REQUESTS,
     SERVER_SESSIONS_CANCELLED,
     SERVER_SESSIONS_ERRORED,
@@ -106,6 +123,34 @@ SendFrames = Callable[[List[bytes]], Awaitable[None]]
 #: interval.  Faster frames (a cache replay) are handed over without
 #: waiting and written in batches.
 _SLOW_FRAME_SECONDS = 1e-4
+
+#: Encoded bytes of the complete sessions a ``--cache`` server keeps to
+#: answer again from the loop, over all of them; least recently used
+#: out first.
+MAX_REPLAY_BYTES = 16 * 1024 * 1024
+
+
+class _Replay(NamedTuple):
+    """A ``/lift`` session that ran to ``halted`` on a ``--cache``
+    server, as the loop writes it again: the cache key of its recording,
+    its encoded frames and its last core index."""
+
+    lift_key: str
+    payloads: Tuple[bytes, ...]
+    last_core_index: int
+
+
+def _wire_identity(request: LiftRequest) -> tuple:
+    """Everything in a ``/lift`` request that decides its frames, except
+    its budgets: equal identities stream equal complete sessions."""
+    config = request.config
+    return (
+        request.engine_key,
+        request.program,
+        request.events,
+        config.stepper_mode,
+        *config.key_parts(),
+    )
 
 
 class ReproServer:
@@ -166,8 +211,15 @@ class ReproServer:
             # own against the same directory (only the path crosses the
             # process boundary).
             self._lift_cache = LiftCache(self.cache_dir)
+            # Complete sessions by wire identity, as encoded frames:
+            # the loop answers a repeat of one with a single write.
+            self._replays = BoundedLRU(
+                MAX_REPLAY_BYTES,
+                lambda replay: sum(map(len, replay.payloads)),
+            )
         else:
             self._lift_cache = None
+            self._replays = None
         self.limits = limits or ServerLimits()
         self.stream_buffer_bytes = stream_buffer_bytes
         self.shutdown_grace = shutdown_grace
@@ -407,7 +459,8 @@ class ReproServer:
             lift_request = parse_lift_request(
                 request.body, self.limits, available_backends()
             )
-            confection, backend = self._make_engine(lift_request)
+            replay = self._known_session(lift_request)
+            engine = None if replay else self._make_engine(lift_request)
         except (ProtocolError, ReproError) as exc:
             await http.write_response(
                 writer,
@@ -427,11 +480,17 @@ class ReproServer:
             )
             return
         try:
-            await chunked.start()
-            await self._stream_session(
-                session, lift_request, confection, backend, chunked.send
-            )
-            await chunked.finish()
+            if self._answers(replay, lift_request):
+                await self._send_replay(replay, lift_request, chunked.send_whole)
+            else:
+                await chunked.start()
+                await self._stream_session(
+                    session,
+                    lift_request,
+                    engine or self._make_engine(lift_request),
+                    chunked.send,
+                )
+                await chunked.finish()
         except (ConnectionError, OSError):
             SERVER_SESSIONS_CANCELLED.inc()
         finally:
@@ -477,7 +536,8 @@ class ReproServer:
             lift_request = parse_lift_request(
                 frame[1], self.limits, available_backends()
             )
-            confection, backend = self._make_engine(lift_request)
+            replay = self._known_session(lift_request)
+            engine = None if replay else self._make_engine(lift_request)
         except (ProtocolError, ReproError) as exc:
             await send(
                 [encode_frame(error_frame(type(exc).__name__, str(exc)))]
@@ -502,17 +562,30 @@ class ReproServer:
         reader_task = asyncio.ensure_future(
             self._ws_reader(reader, writer, session)
         )
-        try:
-            await self._stream_session(
-                session, lift_request, confection, backend, send
+
+        async def send_whole(payloads: List[bytes]) -> None:
+            writer.write(
+                b"".join(map(ws.encode_text, payloads))
+                + ws.encode_close(1000)
             )
-            writer.write(ws.encode_close(1000))
             # A finished reader means the client already closed or broke
             # the protocol — it may have stopped reading too, so the
             # close echo is best-effort (draining could park forever on
             # its full receive window).
             if not reader_task.done():
                 await writer.drain()
+
+        try:
+            if self._answers(replay, lift_request):
+                await self._send_replay(replay, lift_request, send_whole)
+            else:
+                await self._stream_session(
+                    session,
+                    lift_request,
+                    engine or self._make_engine(lift_request),
+                    send,
+                )
+                await send_whole([])  # just the close
         except (ConnectionError, OSError):
             SERVER_SESSIONS_CANCELLED.inc()
         finally:
@@ -547,18 +620,54 @@ class ReproServer:
 
     # --- the session core --------------------------------------------
 
+    def _known_session(self, lift_request: LiftRequest) -> Optional[_Replay]:
+        """The complete session this request repeats, if the server kept
+        one (no hit is counted yet: see :meth:`_answers`)."""
+        if self._replays is None:
+            return None
+        return self._replays.recall(_wire_identity(lift_request))
+
+    def _answers(
+        self, replay: Optional[_Replay], lift_request: LiftRequest
+    ) -> bool:
+        """Whether the loop answers ``lift_request`` from ``replay``: the
+        request's budget lets a cache replay run the whole recording,
+        and the cache still holds that recording in memory, which counts
+        the hit.  Otherwise the session runs on the executor, which
+        cuts, renders and steps, and refills the map when it halts."""
+        return (
+            replay is not None
+            and replays_whole(lift_request.config, replay.last_core_index)
+            and self._lift_cache.recall(replay.lift_key) is not None
+        )
+
+    async def _send_replay(
+        self, replay: _Replay, lift_request: LiftRequest, send_whole
+    ) -> None:
+        """Write a kept session again with one write, observed as
+        :meth:`_pump` observes a session (a complete session shows its
+        program at step 0, so its first write carries a step)."""
+        started = time.monotonic()
+        SERVER_REPLAYS.inc()
+        mark_cache_hit(lift_request.config.mode)
+        SERVER_TTFS_SECONDS.observe(time.monotonic() - started)
+        await send_whole(replay.payloads)
+        SERVER_FRAMES_SENT.inc(len(replay.payloads))
+        SERVER_WRITES.inc()
+
     async def _stream_session(
         self,
         session,
         lift_request: LiftRequest,
-        confection: Confection,
-        backend,
+        engine: Tuple[Confection, object],
         send: SendFrames,
     ) -> None:
-        """Produce on a thread, consume on the loop, record TTFS.
+        """Produce on a thread, consume on the loop, record TTFS; keep a
+        session that halts under a cache key for :meth:`_send_replay`.
 
         Raises ``ConnectionError``/``OSError`` out to the caller when
         the client vanishes (after cancelling the producer)."""
+        confection, backend = engine
         loop = asyncio.get_running_loop()
         started = time.monotonic()
         # One text memo per session: consecutive steps share most
@@ -572,7 +681,10 @@ class ReproServer:
             try:
                 program = backend.parse(lift_request.program)
                 stream = confection.lift_events(
-                    program, lift_request.config, should_stop=session.cancelled
+                    program,
+                    lift_request.config,
+                    should_stop=session.cancelled,
+                    on_key=keys.append,
                 )
                 shown = False  # whether a step frame went out yet
                 ready = time.monotonic()
@@ -595,9 +707,13 @@ class ReproServer:
             finally:
                 session.finish_from_thread()
 
+        keys: List[str] = []  # the cache key, once the engine derived it
+        written: Optional[List[bytes]] = (
+            [] if self._replays is not None else None
+        )
         producer = loop.run_in_executor(self._executor, produce)
         try:
-            await self._pump(session, send, started)
+            last = await self._pump(session, send, started, written)
         finally:
             # Either the stream finished or the client vanished; in both
             # cases stop the producer and wait for it to land (bounded:
@@ -605,14 +721,25 @@ class ReproServer:
             # of backpressure).
             session.cancel()
             await producer
+        if keys and last is not None and last["type"] == "halted":
+            self._replays.remember(
+                _wire_identity(lift_request),
+                _Replay(keys[0], tuple(written), last["core_steps"] - 1),
+            )
 
     @staticmethod
     async def _pump(
-        session, send: SendFrames, started: Optional[float] = None
-    ) -> None:
+        session,
+        send: SendFrames,
+        started: Optional[float] = None,
+        written: Optional[List[bytes]] = None,
+    ) -> Optional[dict]:
         """Write the session's frames until :data:`DONE`: every frame
         ready at once goes out in one ``send``.  With ``started``, the
-        first ``step`` frame's delay from it is observed as TTFS."""
+        first ``step`` frame's delay from it is observed as TTFS; with
+        ``written``, every encoded frame is appended to it.  Returns the
+        last frame written, if any."""
+        last = None
         while True:
             frames = await session.next_frames()
             done = frames[-1] is DONE
@@ -624,11 +751,15 @@ class ReproServer:
                 ):
                     SERVER_TTFS_SECONDS.observe(time.monotonic() - started)
                     started = None
-                await send([encode_frame(frame) for frame in frames])
+                payloads = [encode_frame(frame) for frame in frames]
+                await send(payloads)
+                if written is not None:
+                    written.extend(payloads)
                 SERVER_FRAMES_SENT.inc(len(frames))
                 SERVER_WRITES.inc()
+                last = frames[-1]
             if done:
-                return
+                return last
 
     # --- /lift-batch --------------------------------------------------
 

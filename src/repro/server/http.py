@@ -9,8 +9,9 @@ ready frames: whatever the session queue holds when the writer comes
 round goes out together, so a replayed lift costs a write or two rather
 than one per frame, while a frame produced on its own (a session's first
 step, or a step of a cold lift) reaches the client the moment the engine
-produces it.  Batching changes neither the chunk framing nor the
-response bytes.
+produces it.  A session the server answers from frames it kept goes out
+whole, head to closing chunk, in one write.  Batching changes neither
+the chunk framing nor the response bytes.
 
 Connections are single-request (``Connection: close``): session
 streams are long-lived anyway, and one-shot connections keep the
@@ -147,6 +148,10 @@ async def write_response(
     await writer.drain()
 
 
+def _chunks(payloads: Iterable[bytes]) -> bytes:
+    return b"".join(b"%x\r\n%b\r\n" % (len(p), p) for p in payloads)
+
+
 class ChunkedWriter:
     """A chunked streaming response: one chunk per frame, one write and
     one ``drain`` per batch of frames, so backpressure from the socket
@@ -161,18 +166,19 @@ class ChunkedWriter:
         self._content_type = content_type
         self._started = False
 
-    async def start(self, status: int = 200) -> None:
-        self._writer.write(
-            _head(
-                status,
-                {
-                    "Content-Type": self._content_type,
-                    "Transfer-Encoding": "chunked",
-                    "Connection": "close",
-                    "Cache-Control": "no-store",
-                },
-            )
+    def _head(self, status: int) -> bytes:
+        return _head(
+            status,
+            {
+                "Content-Type": self._content_type,
+                "Transfer-Encoding": "chunked",
+                "Connection": "close",
+                "Cache-Control": "no-store",
+            },
         )
+
+    async def start(self, status: int = 200) -> None:
+        self._writer.write(self._head(status))
         await self._writer.drain()
         self._started = True
 
@@ -180,8 +186,15 @@ class ChunkedWriter:
         """One chunk per payload, written and flushed together.  Raises
         ``ConnectionError`` when the client is gone — the handler's cue
         to cancel the session."""
+        self._writer.write(_chunks(payloads))
+        await self._writer.drain()
+
+    async def send_whole(self, payloads: Iterable[bytes]) -> None:
+        """The whole response at once: head, one chunk per payload and
+        the closing chunk, in one write and one flush — the same bytes
+        as :meth:`start`, :meth:`send` and :meth:`finish` would write."""
         self._writer.write(
-            b"".join(b"%x\r\n%b\r\n" % (len(p), p) for p in payloads)
+            self._head(200) + _chunks(payloads) + b"0\r\n\r\n"
         )
         await self._writer.drain()
 

@@ -7,8 +7,9 @@ and from a cold lift — event for event and in rendered bytes, over the
 whole golden corpus in sequence and tree mode, under step, node and
 wall-clock budget cuts — and pins the map's own contract: ``store_lift``
 seeds it, it is bounded by recorded events with the least recently used
-recording evicted first, one instance is safe to share between threads,
-and a consumer cannot change a later replay through the stats it got.
+recording evicted first, ``recall`` answers from it alone, one instance
+is safe to share between threads, and a consumer cannot change a later
+replay through the stats it got.
 """
 
 from __future__ import annotations
@@ -175,6 +176,28 @@ class TestMap:
         stats = cache.stats()
         assert (stats["disk_hits"], stats["memo_hits"]) == (1, 0)
 
+    def test_recall_never_reads_disk(self, tmp_path):
+        LiftCache(tmp_path).store_lift("k", _recording(3))
+        cache = LiftCache(tmp_path)  # "k" is on disk, not in memory
+        assert cache.recall("k") is None
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)  # the store's
+        assert (stats["lift_hits"], stats["lift_misses"]) == (0, 0)
+        assert cache.lookup_lift("k") is not None  # a disk hit
+        assert cache.recall("k") == _recording(3)
+        stats = cache.stats()
+        assert (stats["lift_hits"], stats["memo_hits"]) == (2, 1)
+        assert stats["hits"] == 1
+
+    def test_recall_after_intern_clear_is_none(self, tmp_path):
+        cache = LiftCache(tmp_path)
+        cache.store_lift("k", _recording(3))
+        assert cache.recall("k") is not None
+        clear_intern_caches()
+        assert cache.recall("k") is None
+        stats = cache.stats()
+        assert (stats["memo_hits"], stats["memo_recordings"]) == (1, 0)
+
     def test_consumer_stats_cannot_change_a_later_replay(self, tmp_path):
         cache = LiftCache(tmp_path)
         engine = Confection(make_scheme_rules(), make_stepper(), cache=cache)
@@ -195,20 +218,23 @@ class TestMap:
 
 
 def test_threads_share_one_instance(tmp_path):
-    """8 threads storing and looking up overlapping keys on one
-    instance: nothing raises, and every lookup is counted exactly
-    once, as a hit or a miss."""
+    """8 threads recalling, storing and looking up overlapping keys on
+    one instance: nothing raises, and every round is counted exactly
+    once, as a hit (recalled from memory or looked up) or a miss."""
     cache = LiftCache(tmp_path)
     threads_n, rounds, keys = 8, 200, [f"key{i}" for i in range(16)]
     barrier = threading.Barrier(threads_n)
-    errors, found = [], [0] * threads_n
+    errors, found, recalled = [], [0] * threads_n, [0] * threads_n
 
     def work(index):
         try:
             barrier.wait(timeout=30)
             for i in range(rounds):
                 key = keys[(index + i) % len(keys)]
-                if cache.lookup_lift(key) is not None:
+                if cache.recall(key) is not None:
+                    found[index] += 1
+                    recalled[index] += 1
+                elif cache.lookup_lift(key) is not None:
                     found[index] += 1
                 elif i % 3 == 0:
                     cache.store_lift(key, _recording(2 + i % 5))
@@ -231,6 +257,8 @@ def test_threads_share_one_instance(tmp_path):
     assert not errors, errors
     stats = cache.stats()
     assert stats["lift_hits"] == sum(found)
+    # A recall that finds nothing counts nothing; the lookup after it does.
     assert stats["lift_hits"] + stats["lift_misses"] == threads_n * rounds
+    assert stats["memo_hits"] >= sum(recalled) > 0
     assert stats["memo_hits"] + stats["disk_hits"] == stats["lift_hits"]
     assert stats["memo_events"] == sum(len(r) for r in cache._memo.values())

@@ -10,7 +10,10 @@ both stepper modes, one live server for the whole module.
 A second, cache-backed server pins the framing: on a cache miss and on
 the memory hit that repeats it, the raw HTTP response is one chunk per
 NDJSON frame (whatever the server batched into one socket write), and
-the WebSocket session sends one message per frame.
+the WebSocket session sends one message per frame.  A repeat of a
+complete session is answered on the event loop from the frames the
+server kept, in sequence and tree mode, with every event or only the
+surface ones; its bytes are the miss's.
 """
 
 import json
@@ -19,6 +22,7 @@ import socket
 import pytest
 
 from repro.cli import main as cli_main
+from repro.obs.metrics import SERVER_REPLAYS
 from repro.redex.reduction import STEPPER_MODES
 
 from tests.server.conftest import ServerHarness
@@ -160,6 +164,11 @@ def _one_chunk_per_frame(lines):
     return b"".join(b"%x\r\n%b\r\n" % (len(line), line) for line in lines)
 
 
+# Request fields that change the frames a session streams: the default
+# surface sequence, every event (skipped and deduped frames), and a tree.
+VARIANTS = ({}, {"events": "all"}, {"tree": True})
+
+
 @pytest.mark.parametrize(
     "path,mode",
     CASES,
@@ -167,7 +176,13 @@ def _one_chunk_per_frame(lines):
 )
 def test_framing_on_miss_and_memory_hit(path, mode, cached):
     sugar, program, _trace, _stats, options = parse_golden(path)
-    request = _server_request(CLI_CONFIGS[sugar], options, mode, program)
+    for variant in VARIANTS:
+        request = _server_request(CLI_CONFIGS[sugar], options, mode, program)
+        request.update(variant)
+        _check_framing(cached, request)
+
+
+def _check_framing(cached, request):
     cache = cached.server._lift_cache
     miss = _raw_lift(cached.host, cached.port, request)
     head, _, chunked = miss.partition(b"\r\n\r\n")
@@ -176,15 +191,18 @@ def test_framing_on_miss_and_memory_hit(path, mode, cached):
         cached.host, cached.port, request
     ).splitlines(keepends=True)
     assert chunked == _one_chunk_per_frame(lines) + b"0\r\n\r\n"
-    if json.loads(lines[-1])["type"] != "halted":
+    halted = json.loads(lines[-1])["type"] == "halted"
+    if not halted:
         # Only complete lifts are recorded: prime one, then the budgeted
-        # request is a cut replay of it.
+        # request is a cut replay of it, made on the executor.
         lift_session_raw(
             cached.host, cached.port,
             {k: v for k, v in request.items() if k != "max_steps"},
         )
 
-    memo_hits = cache.memo_hits
+    memo_hits, replays = cache.memo_hits, SERVER_REPLAYS.value
     assert _raw_lift(cached.host, cached.port, request) == miss
     assert lift_session_ws_raw(cached.host, cached.port, request) == lines
     assert cache.memo_hits == memo_hits + 2
+    # A repeat of a complete session is answered on the loop.
+    assert SERVER_REPLAYS.value == replays + (2 if halted else 0)

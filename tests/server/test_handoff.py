@@ -4,9 +4,9 @@ The producer hands frames to the loop without waiting while the session
 queue has room, and the loop writes every ready frame with one socket
 write.  These tests pin what that must not change: a session's first
 ``step`` frame reaches the client while the producer is still blocked
-behind it, a repeated session is served from the cache's memory, and
-``/metrics`` shows both the memory hits and how many writes carried the
-frames.
+behind it, a repeated session is answered on the loop from the frames
+it kept, and ``/metrics`` shows the memory hits, the loop-side replays
+and how many writes carried the frames.
 """
 
 import json
@@ -103,20 +103,30 @@ def _metric(harness, name):
 def test_repeated_session_is_a_memory_hit_in_metrics(make_server, tmp_path):
     harness = make_server(max_sessions=4, cache_dir=tmp_path)
     request = {"program": PROGRAM}
-    first = wire.lift_session_raw(harness.host, harness.port, request)
-    memo_hits = _metric(harness, "repro_cache_lift_memo_hits_total")
-    frames = _metric(harness, "repro_server_frames_sent_total")
-    writes = _metric(harness, "repro_server_writes_total")
+    counters = (
+        "repro_cache_lift_memo_hits_total",
+        "repro_server_frames_sent_total",
+        "repro_server_writes_total",
+        "repro_server_replays_total",
+    )
 
-    assert wire.lift_session_raw(harness.host, harness.port, request) == first
-    assert _metric(harness, "repro_cache_lift_memo_hits_total") == memo_hits + 1
-    sent = _metric(harness, "repro_server_frames_sent_total") - frames
-    written = _metric(harness, "repro_server_writes_total") - writes
+    def deltas(before):
+        return [_metric(harness, n) - b for n, b in zip(counters, before)]
+
+    before = [_metric(harness, name) for name in counters]
+    first = wire.lift_session_raw(harness.host, harness.port, request)
+    memo_hits, sent, written, replays = deltas(before)
+    # The miss runs on the executor: the first step goes out alone, the
+    # rest may share writes.
+    assert (memo_hits, replays) == (0, 0)
     assert sent == len(first.splitlines())
-    # The first step goes out alone; the rest may share writes.
     assert 2 <= written <= sent
+
+    before = [_metric(harness, name) for name in counters]
+    assert wire.lift_session_raw(harness.host, harness.port, request) == first
+    # The repeat is answered on the loop, all its frames in one write.
+    assert deltas(before) == [1, len(first.splitlines()), 1, 1]
     stats = harness.server._lift_cache.stats()
     assert (stats["memo_hits"], stats["disk_hits"]) == (1, 0)
     assert stats["memo_recordings"] == 1
     _wait_for_no_sessions(harness.manager)
-
