@@ -6,8 +6,9 @@ rule dispatch) exists to make one thing fast: lifting long evaluation
 sequences.  This benchmark lifts the same programs through both paths,
 asserts the surface sequences are *identical*, and requires the
 incremental path to win by the advertised margin on a >= 500-step
-evaluation.  All measurements land in ``BENCH_lift.json`` via
-:mod:`benchmarks.reporter`.
+evaluation.  The naive path is the paper's loop over the whole-term
+operations, :mod:`tests.oracle`.  All measurements land in
+``BENCH_lift.json`` via :mod:`benchmarks.reporter`.
 """
 
 import time
@@ -18,6 +19,7 @@ from repro.sugars.scheme_sugars import make_scheme_rules
 
 from benchmarks.conftest import report
 from benchmarks.reporter import REPORTER
+from tests import oracle
 
 RULES = make_scheme_rules()
 MIN_HEADLINE_STEPS = 500
@@ -37,7 +39,10 @@ def _let_nest(n: int) -> str:
 
 def _timed_lift(confection, program, incremental):
     start = time.perf_counter()
-    result = confection.lift(program, incremental=incremental)
+    if incremental:
+        result = confection.lift(program)
+    else:
+        result = oracle.lift(confection.rules, confection.stepper, program)
     return result, time.perf_counter() - start
 
 
@@ -119,5 +124,3 @@ def test_cache_stats_exposed_on_result():
     # (tag-free) program itself without resugaring it (Theorem 2).
     assert stats.resugar_calls == result.core_step_count - 1
     assert 0.0 <= stats.resugar_hit_rate <= 1.0
-    naive = confection.lift(program, incremental=False)
-    assert naive.cache_stats is None

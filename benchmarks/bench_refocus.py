@@ -4,9 +4,10 @@ Two workloads, both recorded in ``BENCH_lift.json``:
 
 * ``refocus_or_chain_256`` — the full lift of the 513-step or-chain,
   refocusing machine (with the default incremental resugaring) against
-  the root-restart stepper on the naive resugaring path — the engine
-  configuration the repo shipped before refocusing.  The acceptance bar
-  is the ISSUE's >= 10x steps/sec.
+  the root-restart stepper (``with_mode("naive")``) on the naive
+  resugaring loop of :mod:`tests.oracle` — the engine configuration the
+  repo shipped before refocusing.  The acceptance bar is >= 10x
+  steps/sec.
 * ``refocus_deep_op_chain_256`` — *raw stepping* (no sugar, no lift) of
   a right-nested ``(+ 1 (+ 1 ...))`` chain whose redex sits at depth
   ~256.  Root-restart decomposition walks the whole spine every step
@@ -29,6 +30,7 @@ from repro.sugars.scheme_sugars import make_scheme_rules
 
 from benchmarks.conftest import report
 from benchmarks.reporter import REPORTER
+from tests import oracle
 
 RULES = make_scheme_rules()
 MIN_LIFT_SPEEDUP = 10.0
@@ -47,11 +49,12 @@ def _deep_op_chain(n: int) -> str:
 
 
 def _timed_lift(program, stepper_mode, incremental):
-    confection = Confection(RULES, make_stepper())
+    stepper = make_stepper().with_mode(stepper_mode)
     start = time.perf_counter()
-    result = confection.lift(
-        program, stepper_mode=stepper_mode, incremental=incremental
-    )
+    if incremental:
+        result = Confection(RULES, stepper).lift(program)
+    else:
+        result = oracle.lift(RULES, stepper, program)
     return result, time.perf_counter() - start
 
 

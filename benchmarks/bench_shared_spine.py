@@ -31,6 +31,7 @@ from repro.sugars.scheme_sugars import make_scheme_rules
 
 from benchmarks.conftest import report
 from benchmarks.reporter import REPORTER, summarize
+from tests import oracle
 
 REPEATS = 7
 
@@ -120,9 +121,7 @@ def test_shared_spine_lift():
     )
 
     for name, source in PROGRAMS.items():
-        reference = Confection(rules, make_stepper()).lift(
-            parse_program(source), incremental=False
-        )
+        reference = oracle.lift(rules, make_stepper(), parse_program(source))
         seconds, misses, hits = [], [], []
         for _ in range(REPEATS):
             result, elapsed, counters = _cold_lift(rules, source)

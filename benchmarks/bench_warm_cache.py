@@ -62,27 +62,28 @@ def _relift(corpus, cache_dir, mode):
     reading every recording from disk (a fresh handle per program), and
     a relift from the recordings one handle keeps in memory: (cold
     results, cold seconds, warm seconds, memory seconds)."""
+    stepper = make_stepper().with_mode(mode)
     cold_engine = Confection(
-        make_scheme_rules(), make_stepper(), cache=LiftCache(cache_dir)
+        make_scheme_rules(), stepper, cache=LiftCache(cache_dir)
     )
     start = time.perf_counter()
-    cold = [cold_engine.lift(t, stepper_mode=mode) for t in corpus]
+    cold = [cold_engine.lift(t) for t in corpus]
     cold_seconds = time.perf_counter() - start
 
-    engine = Confection(make_scheme_rules(), make_stepper())
+    engine = Confection(make_scheme_rules(), stepper)
     handles = [LiftCache(cache_dir) for _ in corpus]
     warm = []
     start = time.perf_counter()
     for term, handle in zip(corpus, handles):
         engine.cache = handle
-        warm.append(engine.lift(term, stepper_mode=mode))
+        warm.append(engine.lift(term))
     warm_seconds = time.perf_counter() - start
 
     engine.cache = memo_cache = LiftCache(cache_dir)
     for term in corpus:  # read each recording once, into memory
-        engine.lift(term, stepper_mode=mode)
+        engine.lift(term)
     start = time.perf_counter()
-    memo = [engine.lift(t, stepper_mode=mode) for t in corpus]
+    memo = [engine.lift(t) for t in corpus]
     memo_seconds = time.perf_counter() - start
 
     assert all(h.stats()["disk_hits"] == 1 for h in handles), mode
@@ -168,7 +169,7 @@ def test_warm_cache_relift(tmp_path):
         )
         assert warm_us[mode] <= MAX_WARM_US_PER_CORE_STEP, (
             f"warm relift costs {warm_us[mode]:.1f} us per core step "
-            f"(median of {REPEATS}) under stepper_mode={mode} "
+            f"(median of {REPEATS}) under the {mode} stepper "
             f"(bar {MAX_WARM_US_PER_CORE_STEP} us)"
         )
 
@@ -200,25 +201,22 @@ def test_warm_cache_relift(tmp_path):
         kwargs = golden.lift_kwargs(options)
         for mode in STEPPER_MODES:
             term = parse(program)
+            stepper = make_golden_stepper().with_mode(mode)
             cold_engine = Confection(
-                make_rules(), make_golden_stepper(),
-                cache=LiftCache(golden_dir),
+                make_rules(), stepper, cache=LiftCache(golden_dir),
             )
             start = time.perf_counter()
-            cold_result = cold_engine.lift(term, stepper_mode=mode, **kwargs)
+            cold_result = cold_engine.lift(term, **kwargs)
             golden_cold += time.perf_counter() - start
             if cold_result.truncated:
                 Confection(
-                    make_rules(), make_golden_stepper(),
-                    cache=LiftCache(golden_dir),
-                ).lift(term, stepper_mode=mode)
+                    make_rules(), stepper, cache=LiftCache(golden_dir),
+                ).lift(term)
 
             warm_cache = LiftCache(golden_dir)
-            warm_engine = Confection(
-                make_rules(), make_golden_stepper(), cache=warm_cache
-            )
+            warm_engine = Confection(make_rules(), stepper, cache=warm_cache)
             start = time.perf_counter()
-            warm_result = warm_engine.lift(term, stepper_mode=mode, **kwargs)
+            warm_result = warm_engine.lift(term, **kwargs)
             golden_warm += time.perf_counter() - start
 
             assert [pretty(t) for t in cold_result.surface_sequence] == [

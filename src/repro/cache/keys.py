@@ -22,8 +22,9 @@ All three are hex blake2b digests of a canonical byte serialization:
   rules, new namespace", never "stale hit".
 * :func:`engine_fingerprint` covers the stepper identity plus the key
   fields of the :class:`~repro.engine.config.LiftConfig` (sequence vs
-  tree mode, dedup, emulation checking, incrementality), derived from
-  the config itself so no option can be left out by hand.
+  tree mode, dedup, emulation checking, and the constant ``;inc=True``
+  every key has carried), derived from the config itself so no option
+  can be left out by hand.
   Steppers may expose a ``cache_fingerprint()`` hook; steppers with no
   recognizable identity (an arbitrary function stepper) yield ``None``,
   which callers must treat as *uncacheable*.
@@ -257,10 +258,8 @@ def engine_fingerprint(stepper, config) -> Optional[str]:
     (:meth:`~repro.engine.config.LiftConfig.key_parts`), or ``None``
     when the stepper is unidentifiable (= this lift is uncacheable).
 
-    ``stepper`` must already have ``config.stepper_mode`` applied, so an
-    explicit ``stepper_mode="refocus"`` and a default-refocus stepper
-    fingerprint identically — they produce identical streams — while
-    refocus vs naive differ.
+    The stepper's own mode is part of its fingerprint, so a refocusing
+    stepper and ``with_mode("naive")`` of it key apart.
     """
     step_fp = stepper_fingerprint(stepper)
     if step_fp is None:

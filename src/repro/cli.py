@@ -39,7 +39,6 @@ from repro.engine import events
 from repro.engine.config import ON_BUDGET_POLICIES, LiftConfig
 from repro.engine.registry import Backend, available_backends, get_backend
 from repro.lang.textmemo import memo_printer
-from repro.redex.reduction import STEPPER_MODES
 
 __all__ = ["main", "build_parser"]
 
@@ -104,14 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "wall-clock budget for the lift",
         "budget exhaustion policy: error out, or truncate the trace "
         "(default: raise)",
-    )
-    lift.add_argument(
-        "--stepper",
-        choices=STEPPER_MODES,
-        default="refocus",
-        help="core decomposition engine: refocus keeps the evaluation "
-        "context alive across steps, naive re-decomposes from the root "
-        "(identical traces; default: refocus)",
     )
     lift.add_argument(
         "--show-skipped",
@@ -236,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="show the raw core trace (no lifting)")
     common(trace)
     trace.add_argument("--max-steps", type=int, default=100_000)
-    trace.add_argument(
-        "--stepper",
-        choices=STEPPER_MODES,
-        default="refocus",
-        help="core decomposition engine (default: refocus)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -602,9 +587,6 @@ def _cmd_trace(args) -> int:
     confection, backend = _build_confection(args)
     core = confection.desugar(backend.parse(_read_program(args.program)))
     stepper = confection.stepper
-    with_mode = getattr(stepper, "with_mode", None)
-    if with_mode is not None:
-        stepper = with_mode(args.stepper)
     state = stepper.load(core)
     for _ in range(args.max_steps):
         print(backend.pretty(stepper.term(state)))
@@ -715,7 +697,6 @@ def _lift_config(args) -> LiftConfig:
         max_steps=args.max_steps,
         max_seconds=getattr(args, "max_seconds", None),
         on_budget=getattr(args, "on_budget", "raise"),
-        stepper_mode=getattr(args, "stepper", None),
     )
 
 

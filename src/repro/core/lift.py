@@ -130,8 +130,8 @@ class LiftResult:
     surface_sequence: List[Pattern] = field(default_factory=list)
     steps: List[LiftedStep] = field(default_factory=list)
     cache_stats: Optional[CacheStats] = None
-    """Per-run :class:`~repro.core.incremental.CacheStats` when the lift
-    ran incrementally; ``None`` on the naive path."""
+    """Per-run :class:`~repro.core.incremental.CacheStats` of the lift;
+    ``None`` on a result the lifting loop did not build."""
     truncated: bool = False
     """True when a step or wall-clock budget ran out under
     ``on_budget="truncate"``; the result is then a well-formed prefix of

@@ -14,8 +14,6 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from repro.redex.reduction import STEPPER_MODES
-
 __all__ = ["LiftConfig", "LIFT_MODES", "ON_BUDGET_POLICIES"]
 
 LIFT_MODES = ("sequence", "tree")
@@ -51,16 +49,11 @@ class LiftConfig:
         core term it represents (Theorem 3's dynamic backstop), raising
         :class:`~repro.core.lift.EmulationViolation` otherwise.
     ``incremental``
-        Resugar through a per-run
-        :class:`~repro.core.incremental.ResugarCache` (default), so a
-        step costs work proportional to the rewritten spine.  ``False``
-        is the naive full-tree path: the reference oracle of the
-        differential tests, with identical output.
-    ``stepper_mode``
-        ``"refocus"`` / ``"naive"`` selects the decomposition engine of
-        a mode-aware stepper (``with_mode``); ``None`` keeps the
-        stepper as configured.  ``"naive"`` is a reference oracle; the
-        output is byte-identical either way.
+        Accepted only as ``True``, so that callers passing it keep
+        working: every lift resugars through a per-run
+        :class:`~repro.core.incremental.ResugarCache`, so a step costs
+        work proportional to the rewritten spine.  It is not stored;
+        the cache key keeps its ``;inc=True`` bytes.
     ``max_steps``
         Step budget: core indices ``0..max_steps`` run.  For trees it
         is the number of explored core nodes, and may be given as
@@ -75,22 +68,22 @@ class LiftConfig:
         after a valid prefix of the full lift.
 
     Every field is cache-key material unless its metadata says
-    ``key=False``: budgets select a prefix of the one complete lift, and
-    ``stepper_mode`` is keyed through the resolved stepper's own
-    fingerprint.  A new option is therefore keyed unless it opts out.
+    ``key=False``: budgets select a prefix of the one complete lift.  A
+    new option is therefore keyed unless it opts out.  The stepper is
+    keyed through its own fingerprint.
     """
 
     mode: str = "sequence"
     dedup: Optional[bool] = None
     check_emulation: bool = field(default=True, metadata={"tag": "emu"})
-    incremental: bool = field(default=True, metadata={"tag": "inc"})
-    stepper_mode: Optional[str] = field(default=None, metadata=_NOT_KEY)
     max_steps: int = field(default=100_000, metadata=_NOT_KEY)
     max_seconds: Optional[float] = field(default=None, metadata=_NOT_KEY)
     on_budget: str = field(default="raise", metadata=_NOT_KEY)
     max_nodes: InitVar[Optional[int]] = None
+    incremental: InitVar[bool] = True
 
-    def __post_init__(self, max_nodes: Optional[int]) -> None:
+    def __post_init__(self, max_nodes: Optional[int], incremental: bool) -> None:
+        _require(incremental is True, "incremental", "True", incremental)
         _require(self.mode in LIFT_MODES, "mode", LIFT_MODES, self.mode)
         tree = self.mode == "tree"
         if max_nodes is not None:
@@ -103,13 +96,8 @@ class LiftConfig:
             self.dedup is None if tree else isinstance(self.dedup, bool),
             "dedup", "None for trees" if tree else "a bool", self.dedup,
         )
-        for name in ("check_emulation", "incremental"):
-            value = getattr(self, name)
-            _require(isinstance(value, bool), name, "a bool", value)
-        _require(
-            self.stepper_mode is None or self.stepper_mode in STEPPER_MODES,
-            "stepper_mode", STEPPER_MODES, self.stepper_mode,
-        )
+        _require(isinstance(self.check_emulation, bool), "check_emulation",
+                 "a bool", self.check_emulation)
         steps = self.max_steps
         _require(
             isinstance(steps, int) and not isinstance(steps, bool)
@@ -145,16 +133,11 @@ class LiftConfig:
         return tuple(name for name, _ in _KEY_TAGS)
 
     def key_parts(self) -> List[bytes]:
-        """This config's cache-key bytes: ``;tag=value`` per key field."""
-        return [f";{tag}={getattr(self, name)}".encode() for name, tag in _KEY_TAGS]
-
-    def apply_stepper_mode(self, stepper):
-        """``stepper`` switched to ``stepper_mode``.  Steppers without
-        ``with_mode`` are their own single mode and pass through."""
-        with_mode = getattr(stepper, "with_mode", None)
-        if self.stepper_mode is None or with_mode is None:
-            return stepper
-        return with_mode(self.stepper_mode)
+        """This config's cache-key bytes: ``;tag=value`` per key field,
+        then the constant ``;inc=True`` that keys have always carried."""
+        return [
+            f";{tag}={getattr(self, name)}".encode() for name, tag in _KEY_TAGS
+        ] + [b";inc=True"]
 
 
 # (field name, key tag) of every key field, in declaration order.

@@ -121,8 +121,8 @@ class StepSkipped(LiftEvent):
 class Halted(LiftEvent):
     """Evaluation finished normally after ``core_step_count`` core
     steps.  ``cache_stats`` is the live per-run
-    :class:`~repro.core.incremental.CacheStats` when the lift ran
-    incrementally, ``None`` on the naive path."""
+    :class:`~repro.core.incremental.CacheStats` of the lift (``None``
+    only on an event built outside the lifting loop)."""
 
     core_step_count: int
     cache_stats: Optional[CacheStats] = None

@@ -51,11 +51,9 @@ from dataclasses import replace
 from time import monotonic
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.core.desugar import desugar, resugar
 from repro.core.errors import ReproError
 from repro.core.incremental import ResugarCache
 from repro.core.intern import intern
-from repro.core.lenses import emulates
 from repro.core.lift import (
     EmulationViolation,
     LiftedStep,
@@ -281,11 +279,8 @@ def lift_events(
     carrying its index and outcome, and the ``lift.steps_*`` counters
     move per event; disabled, the loop pays one branch per step.
     """
-    stepper = config.apply_stepper_mode(stepper)
     cache_key = None
     if cache is not None:
-        # Keyed after stepper_mode resolution, so an explicit mode and
-        # a stepper configured with that same mode share entries.
         cache_key = cache.lift_key(rules, stepper, surface_term, config)
         if cache_key is not None:
             if on_key is not None:
@@ -295,7 +290,7 @@ def lift_events(
                 budget = _Budget(config)
                 yield from _replay(recorded, config.mode, should_stop, budget)
                 return
-    attrs = dict(mode=config.mode, incremental=config.incremental)
+    attrs = dict(mode=config.mode)
     if config.mode == "sequence":
         attrs["dedup"] = config.dedup
     # The provenance run scope opens before desugaring so the initial
@@ -326,18 +321,15 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
     """The lifting loop: one frontier of ``(state, parent node id)``
     pairs, explored breadth-first; a sequence's never exceeds one."""
     tree = config.mode == "tree"
-    cache = ResugarCache(rules) if config.incremental else None
-    stats = cache.stats if cache else None
+    cache = ResugarCache(rules)
+    stats = cache.stats
     # Desugar once, through the cache.  Its Emulation checks desugar
     # nothing: the resugaring walk decides them node by node.
-    if cache:
-        surface_term = intern(surface_term)
-        core = cache.desugar(surface_term)
-    else:
-        core = desugar(rules, surface_term)
+    surface_term = intern(surface_term)
+    core = cache.desugar(surface_term)
     # Theorem 2 (resugar . desugar = id): a tag-free program is its own
     # surface at step 0, and Emulation holds there by construction.
-    program = surface_term if cache and is_surface_term(surface_term) else None
+    program = surface_term if is_surface_term(surface_term) else None
     frontier = deque([(stepper.load(core), None)])
     budget = _Budget(config)
     check_emulation, dedup = config.check_emulation, config.dedup
@@ -364,18 +356,13 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
     emit = emit_node if tree else emit_step
 
     def classify(term: Pattern, index: int, parent):
-        """Resugar one core term and decide its event + outcome."""
-        surface = cache.resugar(term) if cache else resugar(rules, term)
+        """Resugar one core term with the full walk (observability on,
+        so every decision is traced) and decide its event + outcome."""
+        surface = cache.resugar(term)
         if surface is None:
             return StepSkipped(index, term), "skipped"
-        if check_emulation:
-            faithful = (
-                cache.emulates(surface, term)
-                if cache
-                else emulates(rules, surface, term)
-            )
-            if not faithful:
-                raise violation(surface, term)
+        if check_emulation and not cache.emulates(surface, term):
+            raise violation(surface, term)
         return emit(index, term, surface, parent)
 
     def violation(surface, term):
@@ -427,10 +414,8 @@ def _drive(rules, stepper, surface_term, config, lift_span, should_stop):
                 MATCH_ATTEMPTS.value - attempts_before
             )
             _OUTCOME_COUNTERS[outcome].inc()
-        elif cache is not None:
-            event, outcome = classify_shown(term, index, parent)
         else:
-            event, outcome = classify(term, index, parent)
+            event, outcome = classify_shown(term, index, parent)
         yield event
 
         successors = stepper.step(state)

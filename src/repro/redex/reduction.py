@@ -299,9 +299,11 @@ class RedexStepper:
     default) drives a :class:`~repro.redex.refocus.RefocusMachine` that
     keeps the evaluation context alive across steps and resumes
     decomposition at the contraction site; ``"naive"`` re-decomposes
-    from the root every step.  The two produce byte-identical traces —
-    the naive mode survives as the differential-testing oracle and for
-    stepping non-ground (uninternable) terms.
+    from the root every step.  The two produce byte-identical traces;
+    the naive mode is the differential-testing oracle, reached through
+    ``with_mode("naive")``.  (Non-ground, uninternable terms need no
+    naive mode: the refocusing machine steps them as a plain
+    :class:`MachineState`.)
     """
 
     def __init__(

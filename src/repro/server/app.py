@@ -24,8 +24,8 @@ the fast frames of a cache replay go out in batches.
 
 A ``--cache`` server also keeps the encoded frames of every ``/lift``
 session that ran to ``halted``, by the request's wire identity (engine,
-program text, event mode, stepper and the config's key fields: all but
-its budgets), in a map bounded by :data:`MAX_REPLAY_BYTES`.  A repeat
+program text, event mode and the config's key fields: all but its
+budgets), in a map bounded by :data:`MAX_REPLAY_BYTES`.  A repeat
 of such a session is answered by the loop itself, with one write, when
 its budget lets the whole recording run and the cache still holds that
 recording in memory (:meth:`~repro.cache.LiftCache.recall`, which
@@ -143,13 +143,11 @@ class _Replay(NamedTuple):
 def _wire_identity(request: LiftRequest) -> tuple:
     """Everything in a ``/lift`` request that decides its frames, except
     its budgets: equal identities stream equal complete sessions."""
-    config = request.config
     return (
         request.engine_key,
         request.program,
         request.events,
-        config.stepper_mode,
-        *config.key_parts(),
+        *request.config.key_parts(),
     )
 
 

@@ -13,12 +13,15 @@ A **lift request** is one JSON object::
      "sugar": null,               # bundled sugar set (default: backend's)
      "transparent": false,        # lambda: transparent recursion marks
      "op": "naive",               # pyret: binary-operator desugaring
-     "stepper": "refocus",        # core decomposition engine
      "tree": false,               # lift a nondeterministic tree instead
      "max_steps": 1000,           # step budget (nodes with tree=true)
      "max_seconds": 5.0,          # wall-clock budget
      "on_budget": "truncate",     # "truncate" (default) or "raise"
      "events": "surface"}         # "surface" (default) or "all"
+
+Fields not listed here are ignored.  That includes ``stepper``, which
+once chose the core decomposition engine: both engines stream the same
+bytes, and every session now runs the refocusing one.
 
 Budgets are the isolation boundary: the server clamps each request's
 budgets to its own caps (:class:`ServerLimits`), so one runaway program
@@ -64,7 +67,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.engine import events
 from repro.engine.config import ON_BUDGET_POLICIES, LiftConfig
-from repro.redex.reduction import STEPPER_MODES
 
 __all__ = [
     "ProtocolError",
@@ -118,7 +120,7 @@ class ServerLimits:
 class _Request:
     """The engine fields every request shares, plus its validated,
     budget-clamped :class:`~repro.engine.config.LiftConfig` (the wire's
-    ``tree``, ``stepper`` and budget fields)."""
+    ``tree`` and budget fields)."""
 
     lang: str = "lambda"
     sugar: Optional[str] = None
@@ -249,9 +251,6 @@ def parse_lift_request(
             payload,
             limits,
             mode="tree" if _flag(payload, "tree") else "sequence",
-            stepper_mode=_choice(
-                payload, "stepper", STEPPER_MODES, "refocus"
-            ),
         ),
     )
 

@@ -193,7 +193,6 @@ NON_DEFAULT_KEY_VALUES = {
     "mode": "tree",
     "dedup": False,
     "check_emulation": False,
-    "incremental": False,
 }
 
 
@@ -215,30 +214,29 @@ def test_engine_fingerprint_separates_every_config_axis():
 # Whole-lift keys of ``(or (not #t) (not #f))`` under the bundled lambda
 # rules, computed with key schema 2 before the keys were derived from
 # LiftConfig.  They are what on-disk caches hold: if one moves, every
-# existing cache entry for that configuration goes cold.
+# existing cache entry for that configuration goes cold.  Rows are
+# (key, mode, stepper mode, config options); a naive row keys the
+# stepper's ``with_mode("naive")``.
 PINNED_LIFT_KEYS = [
-    ("3ebb977da3e4e161a082f4638a7b9c0e", "sequence", {}),
-    ("84b9ec285fb05d618fb19a8338eacb6d", "sequence",
-     dict(stepper_mode="naive")),
-    ("f471f358f9e4737239bf638f8bfb3c3f", "tree", {}),
-    ("9bdfffe60de5e43f2d1ea0a85dca5c5f", "tree", dict(stepper_mode="naive")),
-    ("41d71c0ed0eace975894e20fbf55ae0c", "sequence", dict(dedup=False)),
-    ("6e7dbd4b255a2b5f3081c511dc691d5e", "sequence",
+    ("3ebb977da3e4e161a082f4638a7b9c0e", "sequence", "refocus", {}),
+    ("84b9ec285fb05d618fb19a8338eacb6d", "sequence", "naive", {}),
+    ("f471f358f9e4737239bf638f8bfb3c3f", "tree", "refocus", {}),
+    ("9bdfffe60de5e43f2d1ea0a85dca5c5f", "tree", "naive", {}),
+    ("41d71c0ed0eace975894e20fbf55ae0c", "sequence", "refocus",
+     dict(dedup=False)),
+    ("6e7dbd4b255a2b5f3081c511dc691d5e", "sequence", "refocus",
      dict(check_emulation=False)),
-    ("d335ed7cd320470769d49fc60eebcfd5", "sequence",
-     dict(incremental=False)),
-    ("be1f50ccedcc93a13c3ddd0072adfbb6", "tree",
+    ("be1f50ccedcc93a13c3ddd0072adfbb6", "tree", "refocus",
      dict(check_emulation=False)),
-    ("1bab8f7ee263bd54fdc48391cbbad9eb", "tree", dict(incremental=False)),
 ]
 
 
 @pytest.mark.parametrize(
-    "pinned,mode,options", PINNED_LIFT_KEYS,
-    ids=[f"{mode}-{pinned[:8]}" for pinned, mode, _ in PINNED_LIFT_KEYS],
+    "pinned,mode,stepper_mode,options", PINNED_LIFT_KEYS,
+    ids=[f"{mode}-{pinned[:8]}" for pinned, mode, _, _ in PINNED_LIFT_KEYS],
 )
 def test_lift_keys_are_byte_stable(reference_rules, tmp_path, pinned, mode,
-                                   options):
+                                   stepper_mode, options):
     """The key bytes are pinned twice: the module function, and the key
     a real lift stores its recording under."""
     from repro.cache import LiftCache
@@ -247,11 +245,10 @@ def test_lift_keys_are_byte_stable(reference_rules, tmp_path, pinned, mode,
     backend = get_backend("lambda")
     term = backend.parse("(or (not #t) (not #f))")
     config = LiftConfig(mode=mode, **options)
-    stepper = config.apply_stepper_mode(backend.make_stepper())
+    stepper = backend.make_stepper().with_mode(stepper_mode)
     assert lift_key(reference_rules, stepper, term, config) == pinned
     lift_cache = LiftCache(tmp_path)
-    engine = Confection(reference_rules, backend.make_stepper(),
-                        cache=lift_cache)
+    engine = Confection(reference_rules, stepper, cache=lift_cache)
     list(engine.lift_events(term, config))
     assert lift_cache.lookup_lift(pinned) is not None
 

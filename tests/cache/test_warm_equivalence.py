@@ -3,10 +3,10 @@
 The cache's correctness statement is metamorphic: attaching a cache —
 empty or warm — must never change a single rendered byte of any lifted
 trace.  This suite replays the entire golden-trace corpus (every bundled
-sugar on both backends) through a shared cache directory under a grid of
-engine configurations (both stepper modes × incremental/naive
-resugaring), then again warm, and compares the rendered output of every
-run against the pinned golden trace.  A parallel batch with a shared
+sugar on both backends) through a shared cache directory under both
+stepper modes (the refocusing stepper and its ``with_mode("naive")``),
+then again warm, and compares the rendered output of every run against
+the pinned golden trace.  A parallel batch with a shared
 cache directory must agree too, at every worker count.
 """
 
@@ -25,18 +25,15 @@ from tests.test_golden_traces import (
 )
 
 STEPPER_MODES = ("refocus", "naive")
-RESUGAR_MODES = (True, False)  # incremental / naive
 
 
-def _run(path, cache, stepper_mode, incremental, budgeted=True):
+def _run(path, cache, stepper_mode, budgeted=True):
     sugar, program, expected, stats, options = parse_golden(path)
     make_rules, make_stepper, parse, pretty = _configs()[sugar]
-    confection = Confection(make_rules(), make_stepper(), cache=cache)
+    stepper = make_stepper().with_mode(stepper_mode)
+    confection = Confection(make_rules(), stepper, cache=cache)
     result = confection.lift(
-        parse(program),
-        stepper_mode=stepper_mode,
-        incremental=incremental,
-        **(lift_kwargs(options) if budgeted else {}),
+        parse(program), **(lift_kwargs(options) if budgeted else {})
     )
     rendered = [pretty(t) for t in result.surface_sequence]
     return rendered, expected, stats, options, result
@@ -50,56 +47,51 @@ def _lift_entries(root):
     "path", GOLDEN_FILES, ids=[p.stem for p in GOLDEN_FILES]
 )
 def test_cold_equals_warm_across_engine_grid(path, tmp_path):
-    """One shared cache directory, four engine configurations, two
+    """One shared cache directory, two engine configurations, two
     passes each: every pass must reproduce the pinned golden trace
     exactly, and every warm pass must come from the cache.  The cold
     pass always steps.  Only complete lifts are recorded, so a cold pass
     cut by its budget stores nothing, and its complete lift is primed
     before the warm pass, which is then a cut replay."""
     for stepper_mode in STEPPER_MODES:
-        for incremental in RESUGAR_MODES:
-            entries = _lift_entries(tmp_path)
-            cold_cache = LiftCache(tmp_path)
-            cold, expected, stats, options, cold_result = _run(
-                path, cold_cache, stepper_mode, incremental
-            )
-            assert cold == expected
-            assert cold_result.truncated == bool(stats.get("truncated", 0))
-            assert cold_cache.lift_misses == 1
-            if cold_result.truncated:
-                assert _lift_entries(tmp_path) == entries
-                _run(path, LiftCache(tmp_path), stepper_mode, incremental,
-                     budgeted=False)
-            assert _lift_entries(tmp_path) == entries + 1
+        entries = _lift_entries(tmp_path)
+        cold_cache = LiftCache(tmp_path)
+        cold, expected, stats, options, cold_result = _run(
+            path, cold_cache, stepper_mode
+        )
+        assert cold == expected
+        assert cold_result.truncated == bool(stats.get("truncated", 0))
+        assert cold_cache.lift_misses == 1
+        if cold_result.truncated:
+            assert _lift_entries(tmp_path) == entries
+            _run(path, LiftCache(tmp_path), stepper_mode, budgeted=False)
+        assert _lift_entries(tmp_path) == entries + 1
 
-            warm_cache = LiftCache(tmp_path)
-            warm, _, _, _, warm_result = _run(
-                path, warm_cache, stepper_mode, incremental
-            )
-            assert warm == cold
-            assert warm_result.core_step_count == cold_result.core_step_count
-            assert warm_result.skipped_count == cold_result.skipped_count
-            assert warm_result.truncated == cold_result.truncated
+        warm_cache = LiftCache(tmp_path)
+        warm, _, _, _, warm_result = _run(path, warm_cache, stepper_mode)
+        assert warm == cold
+        assert warm_result.core_step_count == cold_result.core_step_count
+        assert warm_result.skipped_count == cold_result.skipped_count
+        assert warm_result.truncated == cold_result.truncated
 
-            # Wall-clock budgets included: a complete recording answers
-            # any budget, so every warm pass is a hit.
-            assert warm_cache.lift_hits == 1, (
-                f"{path.stem}: warm run missed the cache "
-                f"(stepper={stepper_mode}, incremental={incremental})"
-            )
-            assert warm_cache.store.counters["corrupt"] == 0
+        # Wall-clock budgets included: a complete recording answers
+        # any budget, so every warm pass is a hit.
+        assert warm_cache.lift_hits == 1, (
+            f"{path.stem}: warm run missed the cache "
+            f"(stepper={stepper_mode})"
+        )
+        assert warm_cache.store.counters["corrupt"] == 0
 
 
 def test_engine_grid_entries_do_not_collide(tmp_path):
-    """The four grid configurations of one program land in four distinct
+    """The two grid configurations of one program land in two distinct
     whole-lift entries: a hit under one configuration can never replay a
     stream recorded under another."""
     path = GOLDEN_FILES[0]
     for stepper_mode in STEPPER_MODES:
-        for incremental in RESUGAR_MODES:
-            _run(path, LiftCache(tmp_path), stepper_mode, incremental)
+        _run(path, LiftCache(tmp_path), stepper_mode)
     entries = list((tmp_path / "lift").rglob("*.bin"))
-    assert len(entries) == len(STEPPER_MODES) * len(RESUGAR_MODES)
+    assert len(entries) == len(STEPPER_MODES)
 
 
 class TestBatchWarmEquivalence:

@@ -18,6 +18,7 @@ from repro.core.terms import HeadTag, Tagged, subterms
 from repro.lambdacore import make_stepper, parse_program
 from repro.obs import Observability, SpanCollector
 from repro.sugars.scheme_sugars import make_scheme_rules
+from tests import oracle
 
 RULES = make_scheme_rules()
 OR_CHAIN_40 = "(or " + "#f " * 40 + "#t)"
@@ -59,16 +60,17 @@ def test_incremental_lift_emits_one_desugar_span():
 
 
 def test_fuel_counts_distinct_expansions_not_occurrences():
-    """A documented divergence from the ``incremental=False`` oracle:
-    the memoized desugar expands a repeated subterm once, so a program
-    made of many copies of one sugar term stays under the expansion
-    limit that the naive desugar, expanding every copy, exceeds."""
+    """A documented divergence from the naive oracle
+    (:mod:`tests.oracle`): the memoized desugar expands a repeated
+    subterm once, so a program made of many copies of one sugar term
+    stays under the expansion limit that the naive desugar, expanding
+    every copy, exceeds."""
     arm = "(or " + "#f " * 100 + "#t)"
     program = parse_program("(and " + (arm + " ") * 60 + "#t)")
     confection = Confection(RULES, make_stepper())
     options = dict(max_steps=0, on_budget="truncate")
     with pytest.raises(ExpansionError, match="exceeded 10000 expansions"):
-        confection.lift(program, incremental=False, **options)
+        oracle.lift(RULES, confection.stepper, program, **options)
     result = confection.lift(program, **options)
     assert result.truncated
     assert result.cache_stats.expansions < 1000

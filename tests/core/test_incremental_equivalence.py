@@ -1,12 +1,12 @@
 """The optimized lifter is *observably identical* to the naive one.
 
-``lift_evaluation``/``lift_evaluation_tree`` take an ``incremental``
-flag; the default (True) routes resugaring and emulation checking
-through a :class:`~repro.core.incremental.ResugarCache`.  These tests
-pin the contract that the flag is invisible in the output: byte-identical
-surface sequences and trees over the whole golden corpus (Or, Automaton,
-return/callcc, and the Pyret sugars), the nondeterministic ``amb`` tree,
-plus unit tests for the cache's reuse and invalidation behaviour.
+Every lift resugars and checks Emulation through a
+:class:`~repro.core.incremental.ResugarCache`.  These tests pin it
+against the paper's loop over the whole-term operations
+(:mod:`tests.oracle`): byte-identical surface sequences and trees over
+the whole golden corpus (Or, Automaton, return/callcc, and the Pyret
+sugars), the nondeterministic ``amb`` tree, plus unit tests for the
+cache's reuse and invalidation behaviour.
 """
 
 from pathlib import Path
@@ -19,6 +19,7 @@ from repro.core.incremental import ResugarCache
 from repro.core.intern import intern
 from repro.lambdacore import make_stepper, parse_program
 from repro.sugars.scheme_sugars import make_scheme_rules
+from tests import oracle
 from tests.test_golden_traces import (
     GOLDEN_FILES,
     _configs,
@@ -37,16 +38,13 @@ def test_incremental_lift_matches_naive_on_golden_corpus(path: Path):
     term = parse(program)
     kwargs = lift_kwargs(options)
 
-    naive = confection.lift(term, incremental=False, **kwargs)
-    inc = confection.lift(term, incremental=True, **kwargs)
+    naive = oracle.lift(confection.rules, confection.stepper, term, **kwargs)
+    inc = confection.lift(term, **kwargs)
 
     assert inc.surface_sequence == naive.surface_sequence
-    assert len(inc.steps) == len(naive.steps)
-    for a, b in zip(inc.steps, naive.steps):
-        assert a.emitted == b.emitted
-        assert a.skipped == b.skipped
-        assert a.surface_term == b.surface_term
-    assert naive.cache_stats is None
+    # Every step's fate, core terms included.
+    assert inc.steps == naive.steps
+    assert inc.truncated == naive.truncated
     assert inc.cache_stats is not None
 
 
@@ -54,8 +52,8 @@ def test_incremental_tree_matches_naive_on_amb():
     confection = Confection(make_scheme_rules(), make_stepper())
     program = parse_program("(+ (amb 1 10) (amb 2 (or #f 20)))")
 
-    naive = confection.lift_tree(program, incremental=False)
-    inc = confection.lift_tree(program, incremental=True)
+    naive = oracle.lift_tree(confection.rules, confection.stepper, program)
+    inc = confection.lift_tree(program)
 
     assert inc.root == naive.root
     assert inc.edges == naive.edges
@@ -66,6 +64,7 @@ def test_incremental_tree_matches_naive_on_amb():
     assert inc.skipped_count == naive.skipped_count
     assert inc.depth() == naive.depth()
     assert sorted(inc.leaves()) == sorted(naive.leaves())
+    assert inc == naive
 
 
 class TestResugarCacheReuse:

@@ -32,17 +32,21 @@ RULES = make_scheme_rules()
         (dict(max_seconds=-0.5), "max_seconds"),
         (dict(max_seconds=True), "max_seconds"),
         (dict(on_budget="explode"), "on_budget"),
-        (dict(stepper_mode="mystery"), "stepper_mode"),
+        (dict(stepper_mode="naive"), "stepper_mode"),
         (dict(mode="graph"), "mode"),
         (dict(dedup="yes"), "dedup"),
         (dict(mode="tree", dedup=False), "dedup"),
         (dict(check_emulation=None), "check_emulation"),
-        (dict(incremental=1), "incremental"),
+        (dict(incremental=False), "incremental"),
         (dict(max_nodes=5), "max_nodes"),
     ],
 )
 def test_invalid_options_rejected(options, option):
-    with pytest.raises(ValueError, match=option):
+    # ``stepper_mode`` is no option at all (a naive stepper is chosen by
+    # the stepper itself: ``with_mode("naive")``); ``incremental`` is
+    # accepted only as True.
+    error = TypeError if option == "stepper_mode" else ValueError
+    with pytest.raises(error, match=option):
         LiftConfig(**options)
 
 
@@ -70,6 +74,10 @@ def test_defaults_and_tree_budget_alias():
     assert sequence.max_steps == 100_000 and sequence.max_seconds is None
     tree = LiftConfig(mode="tree", max_nodes=7)
     assert tree.dedup is None and tree.max_steps == 7
+    # The one accepted value of ``incremental`` is the default, and the
+    # key keeps the bytes it always had.
+    assert LiftConfig(incremental=True) == sequence
+    assert sequence.key_parts()[-1] == b";inc=True"
 
 
 def test_config_and_options_do_not_mix():

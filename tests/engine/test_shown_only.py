@@ -5,12 +5,13 @@ shortcuts: step 0 shows a tag-free program as it stands (Theorem 2,
 ``resugar . desugar = id``), and a step whose root exposes an opaque
 body tag, or a memoized failure or block, is skipped before any
 unexpansion (:meth:`~repro.core.incremental.ResugarCache.resugar_shown`).
-With observability on, the full walk runs; ``incremental=False`` is the
-naive oracle.  Every lift here runs all three ways and must produce the
-same events — kinds, indices, core terms, surface terms, tree ids and
-terminal — over the golden corpus, the synthesis regression corpus
-(candidate rules spliced into the reference rules, as the fuzzer lifts
-them) and random programs for both backends.
+With observability on, the full walk runs; :mod:`tests.oracle` is the
+paper's loop over the naive operations.  Every lift here runs all three
+ways: the two engine runs must produce the same events — kinds,
+indices, core terms, surface terms, tree ids and terminal — and the
+oracle the same batch result, over the golden corpus, the synthesis
+regression corpus (candidate rules spliced into the reference rules, as
+the fuzzer lifts them) and random programs for both backends.
 
 Also here: the Theorem 2 property the step-0 shortcut rests on, and the
 static priority verdict of STRICT rule lists.
@@ -35,6 +36,7 @@ from repro.core.terms import BodyTag, Tagged
 from repro.core.wellformed import DisjointnessMode
 from repro.engine.events import BudgetExhausted, Halted
 from repro.engine.registry import get_backend
+from repro.engine.stream import fold_lift, fold_tree
 from repro.lambdacore import make_stepper, parse_program
 from repro.pyretcore import make_stepper as pyret_stepper
 from repro.pyretcore import parse_program as pyret_parse
@@ -42,6 +44,7 @@ from repro.sugars.pyret_sugars import make_pyret_rules
 from repro.sugars.scheme_sugars import make_scheme_rules
 from repro.synth.filter import check_candidate
 from repro.synth.fuzz import candidate_from_json
+from tests import oracle
 from tests.test_end_to_end_properties import programs as scheme_programs
 from tests.test_golden_traces import (
     GOLDEN_FILES,
@@ -71,26 +74,42 @@ def _event_key(event):
     )
 
 
-def _events(conf, term, tree, incremental, observed, **options):
+def _error(exc):
+    return [("error", type(exc).__name__, str(exc))]
+
+
+def _events(conf, term, tree, observed, **options):
+    """The engine's events (as keys) and their batch fold."""
     lift = conf.lift_tree_stream if tree else conf.lift_stream
     try:
         if observed:
             with obs.Observability(reset_metrics=False):
-                events = list(lift(term, incremental=incremental, **options))
+                events = list(lift(term, **options))
         else:
-            events = list(lift(term, incremental=incremental, **options))
+            events = list(lift(term, **options))
     except ReproError as exc:
-        return [("error", type(exc).__name__, str(exc))]
-    return [_event_key(e) for e in events]
+        return _error(exc), _error(exc)
+    folded = (fold_tree if tree else fold_lift)(events)
+    if not tree:
+        folded.cache_stats = None  # the oracle keeps none
+    return [_event_key(e) for e in events], folded
+
+
+def _oracle(conf, term, tree, **options):
+    lift = oracle.lift_tree if tree else oracle.lift
+    try:
+        return lift(conf.rules, conf.stepper, term, **options)
+    except ReproError as exc:
+        return _error(exc)
 
 
 def assert_three_ways_equal(conf, term, tree=False, **options):
-    """Shortcut lift == full-walk lift == naive lift, event for event."""
-    shortcut = _events(conf, term, tree, True, False, **options)
-    full = _events(conf, term, tree, True, True, **options)
-    naive = _events(conf, term, tree, False, False, **options)
+    """Shortcut lift == full-walk lift, event for event; both == the
+    oracle's lift."""
+    shortcut, folded = _events(conf, term, tree, False, **options)
+    full, _ = _events(conf, term, tree, True, **options)
     assert shortcut == full
-    assert shortcut == naive
+    assert folded == _oracle(conf, term, tree, **options)
     return shortcut
 
 

@@ -3,9 +3,10 @@
 The batch entry points are folds over the streams, but these tests do
 not trust that plumbing: they *replay* the event stream with an
 independent reconstruction written here and require it to rebuild the
-batch ``LiftResult`` exactly — for every golden program, both bundled
-languages, incremental and naive resugaring — plus the event-grammar
-invariants every stream must satisfy.
+batch ``LiftResult`` exactly — for every golden program and both
+bundled languages — and the batch result of the paper's loop over the
+naive operations (:mod:`tests.oracle`, the ``naive`` cases) too, plus
+the event-grammar invariants every stream must satisfy.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.engine.events import (
     SurfaceEmitted,
 )
 from repro.engine.stream import fold_tree
+from tests import oracle
 from tests.test_golden_traces import (
     GOLDEN_FILES,
     _configs,
@@ -73,10 +75,11 @@ def test_stream_replay_reconstructs_batch(path, incremental):
     term = parse(program)
     kwargs = lift_kwargs(options)
 
-    batch = confection.lift(term, incremental=incremental, **kwargs)
-    events = list(
-        confection.lift_stream(term, incremental=incremental, **kwargs)
-    )
+    if incremental:
+        batch = confection.lift(term, **kwargs)
+    else:
+        batch = oracle.lift(confection.rules, confection.stepper, term, **kwargs)
+    events = list(confection.lift_stream(term, **kwargs))
     replayed = _replay(iter(events))
 
     # Exact reconstruction of the batch result...
@@ -121,8 +124,11 @@ def test_tree_stream_replay_reconstructs_batch(incremental):
     confection = Confection(make_scheme_rules(), make_stepper())
     term = parse_program("(+ (amb 1 2) (amb 10 20))")
 
-    batch = confection.lift_tree(term, incremental=incremental)
-    folded = fold_tree(confection.lift_tree_stream(term, incremental=incremental))
+    if incremental:
+        batch = confection.lift_tree(term)
+    else:
+        batch = oracle.lift_tree(confection.rules, confection.stepper, term)
+    folded = fold_tree(confection.lift_tree_stream(term))
 
     assert folded.nodes == batch.nodes
     assert folded.edges == batch.edges
@@ -157,7 +163,7 @@ def test_viz_renders_event_streams_directly():
 @pytest.mark.parametrize("incremental", [True, False], ids=["inc", "naive"])
 def test_emulation_violation_propagates_through_stream(incremental):
     """The dynamic emulation backstop (the paper's Max example, section
-    5.1.5) fires identically on the streaming path."""
+    5.1.5) fires on the streaming path as in the paper's loop."""
     from repro.core.lift import EmulationViolation, FunctionStepper
     from repro.core.rules import RuleList
     from repro.core.wellformed import DisjointnessMode
@@ -174,12 +180,10 @@ def test_emulation_violation_propagates_through_stream(incremental):
         ),
         DisjointnessMode.OFF,
     )
-    with pytest.raises(EmulationViolation):
-        list(
-            lift_stream(
-                rules,
-                FunctionStepper(step_maxacc),
-                parse_term("Max([-infinity])"),
-                incremental=incremental,
-            )
-        )
+    stepper, term = FunctionStepper(step_maxacc), parse_term("Max([-infinity])")
+    with pytest.raises(EmulationViolation) as raised:
+        if incremental:
+            list(lift_stream(rules, stepper, term))
+        else:
+            oracle.lift(rules, stepper, term)
+    assert "does not desugar into the core term" in str(raised.value)

@@ -1,7 +1,9 @@
 """Metamorphic tests: observability never changes what a lift computes.
 
-Over the whole golden corpus, in both resugaring modes, a lift run with
-observability enabled must be byte-identical to one run with it disabled
+Over the whole golden corpus, through the refocusing stepper (``inc``)
+and through the naive one (``naive``, its ``with_mode("naive")``), a
+lift run with observability enabled must be byte-identical to one run
+with it disabled
 — same surface sequence, same per-step bookkeeping, same truncation.
 And the numbers it reports must *agree with the events*:
 ``lift.steps_total`` equals the :class:`CoreStepped` event count (which
@@ -26,29 +28,37 @@ from tests.test_golden_traces import (
 )
 
 MODES = pytest.mark.parametrize(
-    "incremental", [True, False], ids=["inc", "naive"]
+    "naive_stepper", [False, True], ids=["inc", "naive"]
 )
 CORPUS = pytest.mark.parametrize(
     "path", GOLDEN_FILES, ids=[p.stem for p in GOLDEN_FILES]
 )
 
 
+def _stepper_factory(make_stepper, naive):
+    """``make_stepper``, or a factory of its naive-mode steppers."""
+    if naive:
+        return lambda: make_stepper().with_mode("naive")
+    return make_stepper
+
+
 @MODES
 @CORPUS
-def test_observed_lift_is_byte_identical(path, incremental):
+def test_observed_lift_is_byte_identical(path, naive_stepper):
     sugar, program, expected_trace, stats, options = parse_golden(path)
     make_rules, make_stepper, parse, pretty = _configs()[sugar]
+    make_stepper = _stepper_factory(make_stepper, naive_stepper)
     term = parse(program)
     kwargs = lift_kwargs(options)
 
     plain = Confection(make_rules(), make_stepper())
-    baseline = plain.lift(term, incremental=incremental, **kwargs)
+    baseline = plain.lift(term, **kwargs)
 
     observability = obs.Observability()
     observed_conf = Confection(
         make_rules(), make_stepper(), obs=observability
     )
-    observed = observed_conf.lift(term, incremental=incremental, **kwargs)
+    observed = observed_conf.lift(term, **kwargs)
     snapshot = observability.snapshot()
     assert not obs.enabled()
 
@@ -73,15 +83,16 @@ def test_observed_lift_is_byte_identical(path, incremental):
 
 @MODES
 @CORPUS
-def test_steps_total_equals_core_stepped_event_count(path, incremental):
+def test_steps_total_equals_core_stepped_event_count(path, naive_stepper):
     sugar, program, _expected, stats, options = parse_golden(path)
     make_rules, make_stepper, parse, _pretty = _configs()[sugar]
+    make_stepper = _stepper_factory(make_stepper, naive_stepper)
     term = parse(program)
 
     observability = obs.Observability()
     confection = Confection(make_rules(), make_stepper(), obs=observability)
     events = list(
-        confection.lift_stream(term, incremental=incremental, **lift_kwargs(options))
+        confection.lift_stream(term, **lift_kwargs(options))
     )
     core_events = sum(isinstance(e, CoreStepped) for e in events)
     snapshot = observability.snapshot()
@@ -90,7 +101,7 @@ def test_steps_total_equals_core_stepped_event_count(path, incremental):
 
 
 @MODES
-def test_trace_carries_one_step_span_per_core_step(incremental):
+def test_trace_carries_one_step_span_per_core_step(naive_stepper):
     """The exported JSONL agrees with the metrics: one ``lift.step``
     child span under the ``lift`` span per counted core step."""
     from repro.lambdacore import make_stepper, parse_program
@@ -99,11 +110,11 @@ def test_trace_carries_one_step_span_per_core_step(incremental):
     buffer = io.StringIO()
     observability = obs.Observability(sinks=[JsonlExporter(buffer)])
     confection = Confection(
-        make_scheme_rules(), make_stepper(), obs=observability
+        make_scheme_rules(),
+        _stepper_factory(make_stepper, naive_stepper)(),
+        obs=observability,
     )
-    result = confection.lift(
-        parse_program("(or (not #t) (not #f))"), incremental=incremental
-    )
+    result = confection.lift(parse_program("(or (not #t) (not #f))"))
     snapshot = observability.snapshot()
 
     records = read_trace(io.StringIO(buffer.getvalue()))

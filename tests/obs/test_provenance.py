@@ -229,41 +229,58 @@ class TestSkipProvenance:
 
 @pytest.mark.parametrize("incremental", [True, False], ids=["inc", "naive"])
 def test_skip_provenance_is_mode_independent(incremental):
-    """The naive (reference) resugar path diagnoses every skip the same
-    way the incremental one does: same failing rule, same mismatch path
+    """The naive (reference) resugarer diagnoses every skip the same
+    way the lifting loop does: same failing rule, same mismatch path
     and reason (or the same blocking tag check) at every skipped step.
     Only bookkeeping events differ — the incremental cache elides
     re-recording successful unexpansions and flags replays ``cached``.
+
+    The naive resugarer runs on each core step inside its own step
+    scope, as the loop of :mod:`tests.oracle` calls it; the core steps
+    come from the traced lift itself (``inc``) or from the oracle's own
+    run through the naive stepper (``naive``).
     """
+    from repro.core.desugar import resugar
+    from tests import oracle
 
-    def diagnoses(records):
-        out = []
-        for _record, events in _skip_events(records):
-            out.append(
-                sorted(
-                    (
-                        e["event"],
-                        e.get("rule"),
-                        e.get("path"),
-                        e.get("reason"),
-                        e.get("kind"),
-                    )
-                    for e in events
-                    if e["event"] in ("unexpand_failed", "tag_blocked")
+    def diagnoses(skipped):
+        return [
+            sorted(
+                (
+                    e["event"],
+                    e.get("rule"),
+                    e.get("path"),
+                    e.get("reason"),
+                    e.get("kind"),
                 )
+                for e in events
+                if e["event"] in ("unexpand_failed", "tag_blocked")
             )
-        return out
+            for events in skipped
+        ]
 
-    confection = Confection(make_automaton_rules(), make_stepper())
-    runs = {}
-    for mode in (True, False):
-        collector = SpanCollector()
-        with Observability(sinks=[collector]):
-            confection.lift(
-                parse_program(AUTOMATON_PROGRAM), incremental=mode
-            )
-        runs[mode] = diagnoses(collector.records)
-    assert runs[True] == runs[False]
+    rules = make_automaton_rules()
+    program = parse_program(AUTOMATON_PROGRAM)
+    collector = SpanCollector()
+    with Observability(sinks=[collector]):
+        lifted = Confection(rules, make_stepper()).lift(program)
+    traced = [events for _record, events in _skip_events(collector.records)]
+
+    if incremental:
+        steps = lifted.steps
+    else:
+        steps = oracle.lift(
+            rules, make_stepper().with_mode("naive"), program
+        ).steps
+    naive = []
+    with Observability():
+        for step in steps:
+            with prov.step_scope(None) as events:
+                surface = resugar(rules, step.core_term)
+            if surface is None:
+                naive.append(events)
+    assert len(naive) == lifted.skipped_count > 0
+    assert diagnoses(naive) == diagnoses(traced)
 
 
 # --- the exact events, pinned -------------------------------------------

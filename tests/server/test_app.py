@@ -33,6 +33,15 @@ def _wait_for_no_sessions(manager, timeout=10.0):
     )
 
 
+def _counter(harness, name: str) -> float:
+    """One counter's value in the server's ``/metrics`` exposition."""
+    _, _, body = wire.request(harness.host, harness.port, "GET", "/metrics")
+    for line in body.decode().splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
 class TestPlainEndpoints:
     def test_healthz(self, server):
         status, _, body = wire.request(
@@ -123,15 +132,21 @@ class TestLiftSessions:
         roots = [s for s in steps if s["parent_id"] is None]
         assert roots
 
-    def test_stepper_modes_produce_identical_streams(self, server):
+    def test_stepper_modes_produce_identical_streams(self, make_server,
+                                                     tmp_path):
+        """``stepper`` is no request field: on a ``--cache`` server, a
+        request that still names the naive stepper streams the bytes of
+        the same request without it, and the loop answers it from the
+        frames that request left."""
+        cached = make_server(max_sessions=4, cache_dir=tmp_path)
         request = {"program": "(or (not #t) #f #t)", "lang": "lambda"}
-        refocus = wire.lift_session(
-            server.host, server.port, {**request, "stepper": "refocus"}
+        first = wire.lift_session_raw(cached.host, cached.port, request)
+        replays = _counter(cached, "repro_server_replays_total")
+        naive = wire.lift_session_raw(
+            cached.host, cached.port, {**request, "stepper": "naive"}
         )
-        naive = wire.lift_session(
-            server.host, server.port, {**request, "stepper": "naive"}
-        )
-        assert refocus == naive
+        assert naive == first
+        assert _counter(cached, "repro_server_replays_total") == replays + 1
 
     def test_events_all_mode_includes_skips(self, server):
         frames = wire.lift_session(
@@ -229,11 +244,7 @@ class TestWarmCacheServing:
 
     @staticmethod
     def _lift_hits(harness) -> float:
-        _, _, body = wire.request(harness.host, harness.port, "GET", "/metrics")
-        for line in body.decode().splitlines():
-            if line.startswith("repro_cache_lift_hits_total "):
-                return float(line.split()[1])
-        return 0.0
+        return _counter(harness, "repro_cache_lift_hits_total")
 
     def test_repeated_session_is_a_whole_lift_hit(self, make_server, tmp_path):
         cached = make_server(max_sessions=4, cache_dir=tmp_path)

@@ -4,8 +4,10 @@ semantics fork.
 For every golden-corpus program whose configuration the CLI can
 express, the ``step`` texts streamed over the wire — reassembled into
 lines — must be *byte-identical* to what ``python -m repro lift``
-prints for the same program, options, and stepper mode.  Both backends,
-both stepper modes, one live server for the whole module.
+prints for the same program and options.  Both backends, one live
+server for the whole module.  Each case runs twice: as today's clients
+send it (``refocus``), and with the ``stepper: "naive"`` field older
+clients still send (``naive``), which the server ignores.
 
 A second, cache-backed server pins the framing: on a cache miss and on
 the memory hit that repeats it, the raw HTTP response is one chunk per
@@ -13,7 +15,9 @@ NDJSON frame (whatever the server batched into one socket write), and
 the WebSocket session sends one message per frame.  A repeat of a
 complete session is answered on the event loop from the frames the
 server kept, in sequence and tree mode, with every event or only the
-surface ones; its bytes are the miss's.
+surface ones; its bytes are the miss's.  A ``naive`` case has the wire
+identity of its ``refocus`` case, so its first request is already
+answered from the frames that case left.
 """
 
 import json
@@ -23,7 +27,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.obs.metrics import SERVER_REPLAYS
-from repro.redex.reduction import STEPPER_MODES
 
 from tests.server.conftest import ServerHarness
 from tests.test_golden_traces import GOLDEN_FILES, parse_golden
@@ -45,11 +48,15 @@ CLI_CONFIGS = {
     "pyret-object": dict(lang="pyret", sugar="pyret", op="object"),
 }
 
+# Request fields per case: none, or the ``stepper`` field that older
+# clients send and the server ignores.
+STEPPER_FIELDS = {"refocus": {}, "naive": {"stepper": "naive"}}
+
 CASES = [
     (path, mode)
     for path in GOLDEN_FILES
     if parse_golden(path)[0] in CLI_CONFIGS
-    for mode in STEPPER_MODES
+    for mode in STEPPER_FIELDS
 ]
 
 
@@ -74,13 +81,12 @@ def cached(tmp_path_factory):
     server.close()
 
 
-def _cli_argv(config, options, mode, program):
+def _cli_argv(config, options, program):
     argv = ["lift", "--lang", config["lang"], "--sugar", config["sugar"]]
     if config.get("transparent"):
         argv.append("--transparent")
     if config.get("op"):
         argv += ["--op", config["op"]]
-    argv += ["--stepper", mode]
     if "max_steps" in options:
         argv += ["--max-steps", options["max_steps"]]
     if "max_seconds" in options:
@@ -98,8 +104,8 @@ def _server_request(config, options, mode, program):
         "sugar": config["sugar"],
         "transparent": bool(config.get("transparent")),
         "op": config.get("op", "naive"),
-        "stepper": mode,
         "on_budget": options.get("on_budget", "raise"),
+        **STEPPER_FIELDS[mode],
     }
     if "max_steps" in options:
         request["max_steps"] = int(options["max_steps"])
@@ -122,7 +128,7 @@ def test_wire_bytes_match_cli_bytes(path, mode, harness, capsys):
     sugar, program, _trace, _stats, options = parse_golden(path)
     config = CLI_CONFIGS[sugar]
 
-    code = cli_main(_cli_argv(config, options, mode, program))
+    code = cli_main(_cli_argv(config, options, program))
     assert code == 0
     cli_bytes = capsys.readouterr().out.encode("utf-8")
 

@@ -34,7 +34,9 @@ class TestLiftRequest:
         req = parse({"program": "(or #t #f)"})
         assert req.lang == "lambda"
         assert req.sugar is None
-        assert req.config.stepper_mode == "refocus"
+        assert req.config == LiftConfig(
+            max_steps=1000, max_seconds=10.0, on_budget="truncate"
+        )
         assert req.config.mode == "sequence"
         assert req.config.on_budget == "truncate"
         assert req.events == "surface"
@@ -60,14 +62,17 @@ class TestLiftRequest:
         assert req.config.max_seconds == 0.5
 
     def test_tree_request_builds_a_tree_config_with_the_clamped_budget(self):
-        config = parse(
-            {"program": "x", "tree": True, "max_steps": 10**9,
-             "stepper": "naive"}
-        ).config
-        assert config == LiftConfig(
-            mode="tree", max_steps=1000, max_seconds=10.0,
-            on_budget="truncate", stepper_mode="naive",
-        )
+        # ``stepper`` is not a request field: like every unknown field,
+        # it is ignored, whatever its value.
+        for stepper in ("naive", "mystery"):
+            config = parse(
+                {"program": "x", "tree": True, "max_steps": 10**9,
+                 "stepper": stepper}
+            ).config
+            assert config == LiftConfig(
+                mode="tree", max_steps=1000, max_seconds=10.0,
+                on_budget="truncate",
+            )
 
     @pytest.mark.parametrize(
         "payload",
@@ -77,7 +82,7 @@ class TestLiftRequest:
             {"program": 7},
             {"program": "x", "lang": "cobol"},
             {"program": "x", "on_budget": "explode"},
-            {"program": "x", "stepper": "mystery"},
+            {"program": "x", "op": "mystery"},
             {"program": "x", "events": "everything"},
             {"program": "x", "max_steps": 0},
             {"program": "x", "max_steps": "many"},
